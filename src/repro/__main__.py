@@ -23,7 +23,7 @@ Commands:
   (``repro.cost``): budgeted subset-construction DFA-safety proofs,
   symbol-class table compression, and the calibrated per-backend cost
   model, fused into per-partition advisories (SPAP-C diagnostics);
-  ``--check`` replays every safety proof through real determinization.
+  ``--check`` rebuilds every proven-safe DFA and replays it.
 * ``reduce [ABBR ...|--all]`` — equivalence-preserving reduction
   (``repro.reduce``): forward/backward bisimulation partition refinement
   fused with semant's dead/never-reporting proofs, re-priced through the
@@ -758,8 +758,8 @@ def main(argv: Optional[list] = None) -> int:
                              help="subset-construction state budget "
                                   "(default 4096)")
     cost_parser.add_argument("--check", action="store_true",
-                             help="replay every DFA-safety proof through real "
-                                  "determinization + reference simulation "
+                             help="rebuild every proven-safe DFA and replay "
+                                  "it against reference simulation "
                                   "(the SPAP-C001 differential)")
 
     reduce_parser = sub.add_parser(

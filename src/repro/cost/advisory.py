@@ -11,10 +11,11 @@ One :class:`BackendAdvisory` per partition fuses the three static analyses:
 Findings are emitted through the SPAP-C0xx rule family of
 :mod:`repro.verify.diagnostics` — the same diagnostics substrate every
 other static pass reports through — and
-:func:`check_advisory_soundness` replays a DFA-safety proof against the
-real :func:`~repro.nfa.determinize.determinize` plus the reference
-simulator, turning "the explorer walks the same transition function" from
-an argument into a CI-gated differential check (SPAP-C001).
+:func:`check_advisory_soundness` rebuilds a proven-safe partition's DFA
+rows through the shared subset-construction core and replays them against
+the reference simulator, turning "the proof holds for the table the DFA
+backend executes" from an argument into a CI-gated differential check
+(SPAP-C001).
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..nfa.automaton import Network
-from ..nfa.determinize import DeterminizeError, determinize
 from ..semant.predict import predict_hot_cold
+from ..sim.compiled import compile_network
+from ..sim.dfa import dfa_run, pack_dfa
 from ..sim.reference import reference_run
 from ..sim.result import reports_equal
+from ..sim.subset import construct, subset_tables
 from ..verify.diagnostics import VerificationReport
 from .classes import ClassAnalysis, analyze_symbol_classes
 from .explore import DEFAULT_DFA_BUDGET, SubsetExploration, explore_subset_construction
@@ -248,36 +251,40 @@ def check_advisory_soundness(
 ) -> None:
     """Differentially validate a DFA-safety proof (SPAP-C001).
 
-    For a partition the explorer proved safe, real determinization at the
+    For a partition the explorer proved safe, building the DFA rows at the
     same budget must succeed with exactly the proven state count, and —
-    when ``replay_input`` is given — the materialized DFA must replay
-    bit-identical reports against the reference simulator.  Emits
-    SPAP-C001 on any divergence; silent otherwise.
+    when ``replay_input`` is given — the packed table must replay
+    bit-identical reports against the reference simulator.  No table-byte
+    gate applies: a safe partition whose table exceeds the byte budget is
+    SPAP-C004's finding, not a false proof.  Emits SPAP-C001 on any
+    divergence; silent otherwise.
     """
     if not advisory.dfa_safe:
         return
     where = advisory.partition
-    try:
-        dfa = determinize(network, max_states=advisory.exploration.budget)
-    except DeterminizeError as exc:
+    tables = subset_tables(compile_network(network))
+    built = construct(tables, advisory.exploration.budget, rows=True)
+    if not built.complete:
         report.emit(
             "SPAP-C001",
             f"explorer proved {advisory.dfa_states} subset states but "
-            f"determinize burst the same budget: {exc}",
+            f"building the DFA rows burst the same budget "
+            f"at BFS depth {built.frontier_depth}",
             location=where,
         )
         return
-    if dfa.n_states != advisory.dfa_states:
+    if built.n_subsets != advisory.dfa_states:
         report.emit(
             "SPAP-C001",
             f"explorer proved {advisory.dfa_states} subset states but "
-            f"determinize produced {dfa.n_states}",
+            f"building the DFA rows produced {built.n_subsets}",
             location=where,
         )
         return
     if replay_input is not None and network.n_states:
         expected = reference_run(network, replay_input)
-        if not reports_equal(dfa.run(replay_input), expected.reports):
+        replayed = dfa_run(pack_dfa(tables, built), replay_input)
+        if not reports_equal(replayed.reports, expected.reports):
             report.emit(
                 "SPAP-C001",
                 "DFA replay diverged from the reference simulation "

@@ -104,8 +104,8 @@ def analyze_run_cost(
 ) -> CostOutcome:
     """Cost-analyze an already-built pipeline run at one operating point.
 
-    ``check=True`` additionally replays every DFA-safety proof through real
-    determinization plus a reference-simulation comparison on the run's
+    ``check=True`` additionally rebuilds every proven-safe DFA's rows and
+    replays them against the reference simulation on the run's
     test input (the SPAP-C001 differential) — the expensive half, on by
     default only in the CI gate and the CLI's ``--check``.
     """

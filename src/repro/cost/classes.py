@@ -2,9 +2,9 @@
 
 CAMA (PAPERS.md) shrinks 8-bit transition tables to the few dozen symbol
 *classes* an application actually distinguishes.  This module computes that
-effective class count per partition — reusing the same alphabet-class
-machinery determinization compresses columns with — and the resulting
-transition-table sizes under the two encodings the engines use:
+effective class count per partition — read from the same subset tables
+(:mod:`repro.sim.subset`) the DFA backends compress columns with — and the
+resulting transition-table sizes under the two encodings the engines use:
 
 * **dense**: one row per byte value (the 256-row accept matrix of
   ``sim/compiled.py``, the AP's DRAM-row layout) — ``256 * n_words * 8``
@@ -24,8 +24,9 @@ from typing import Dict
 
 from .. import bitops
 from ..nfa.automaton import Network
-from ..nfa.determinize import alphabet_classes
 from ..nfa.symbolset import ALPHABET_SIZE
+from ..sim.compiled import compile_network
+from ..sim.subset import subset_tables
 
 __all__ = ["ClassAnalysis", "analyze_symbol_classes"]
 
@@ -63,16 +64,7 @@ def analyze_symbol_classes(network: Network) -> ClassAnalysis:
     """Compute the effective alphabet-class count and table sizes."""
     n = network.n_states
     n_words = bitops.num_words(max(n, 1))
-    if n == 0:
-        return ClassAnalysis(
-            n_states=0,
-            n_words=n_words,
-            n_classes=1,
-            n_distinct_symbol_sets=0,
-            table_bytes_dense=ALPHABET_SIZE * n_words * 8,
-            table_bytes_classed=1 * n_words * 8 + ALPHABET_SIZE,
-        )
-    _class_of, n_classes = alphabet_classes(network)
+    n_classes = subset_tables(compile_network(network)).n_classes
     distinct = {state.symbol_set for _g, _a, state in network.global_states()}
     return ClassAnalysis(
         n_states=n,

@@ -5,48 +5,31 @@ Processing" (PAPERS.md) shows a DFA backend only pays off when subset
 construction stays bounded; this module decides that *statically*, per
 partition, without ever materializing a transition table.
 
-The explorer walks exactly the transition function
-:func:`repro.nfa.determinize.determinize` materializes — same flattened
-tables (:func:`~repro.nfa.determinize.flatten_network`), same alphabet
-classes, same per-class representative symbols — so its verdict is a proof
-about that function, not about a reimplementation that could drift:
+The explorer is the shared subset-construction core
+(:func:`repro.sim.subset.construct`) run without rows, so its verdict is a
+proof about the very transition function :func:`repro.sim.dfa.compile_dfa`
+materializes:
 
 * ``dfa_safe=True`` means the set of reachable subset states was exhausted
-  and its size is ``n_subset_states <= budget``.  Reachability of subsets
-  is independent of worklist order, so ``determinize(network,
-  max_states=budget)`` is guaranteed to succeed with exactly
-  ``n_subset_states`` DFA states (the soundness gate in
-  ``tests/test_cost.py`` replays this claim across the corpus).
+  and its size is ``n_subset_states <= budget``, so ``compile_dfa`` at the
+  same budget builds exactly ``n_subset_states`` DFA states (the soundness
+  gate in ``tests/test_cost.py`` replays this claim across the corpus, and
+  checks the count against an independent frozenset oracle).
 * ``dfa_safe=False`` reports the growth frontier instead: how many subsets
   had been discovered when the budget burst, at which BFS depth, and the
   largest subset seen (the blowup witness).
-
-Subsets are Python big-int bitmasks (bit ``g`` = global state ``g``), and
-each class's activation is one AND against a precomputed accept mask, so
-exploration is far cheaper than full determinization: no report rows, no
-transition rows, one integer hash per discovered subset.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Optional
 
 from ..nfa.automaton import Network
-from ..nfa.determinize import (
-    NetworkTables,
-    alphabet_classes,
-    class_representatives,
-    flatten_network,
-)
+from ..sim.compiled import compile_network
+from ..sim.subset import DEFAULT_DFA_BUDGET, construct, subset_tables
 
 __all__ = ["DEFAULT_DFA_BUDGET", "SubsetExploration", "explore_subset_construction"]
-
-#: Default subset-state budget: small enough that a safe partition's table
-#: (budget x classes x 8 B) stays cache-resident, large enough to admit the
-#: trie-shaped hot partitions whose subset space is near-linear.
-DEFAULT_DFA_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -54,7 +37,7 @@ class SubsetExploration:
     """Outcome of one budgeted subset-construction walk.
 
     When ``dfa_safe``, ``n_subset_states`` is exactly the DFA state count
-    ``determinize`` would produce.  Otherwise it is the number of distinct
+    ``compile_dfa`` would produce.  Otherwise it is the number of distinct
     subsets discovered when the budget burst (``budget + 1``), and
     ``frontier_depth`` is the BFS depth (symbols consumed from the initial
     subset) at which that happened.
@@ -81,41 +64,6 @@ class SubsetExploration:
         )
 
 
-def _accept_masks(tables: NetworkTables, network: Network) -> Tuple[List[int], int]:
-    """Per-class accept bitmask (states matching the class representative)."""
-    class_of, n_classes = alphabet_classes(network)
-    representative = class_representatives(class_of, n_classes)
-    masks = [0] * n_classes
-    for cls in range(n_classes):
-        symbol = int(representative[cls])
-        mask = 0
-        for gid, symbol_set in enumerate(tables.symbol_sets):
-            if symbol_set.matches(symbol):
-                mask |= 1 << gid
-        masks[cls] = mask
-    return masks, n_classes
-
-
-def _successor_masks(tables: NetworkTables) -> List[int]:
-    masks = [0] * tables.n_states
-    for gid, successors in enumerate(tables.successors):
-        mask = 0
-        for dst in successors:
-            mask |= 1 << dst
-        masks[gid] = mask
-    return masks
-
-
-def _bits(mask: int) -> List[int]:
-    """Indices of set bits, ascending."""
-    out: List[int] = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def explore_subset_construction(
     network: Network, *, budget: int = DEFAULT_DFA_BUDGET
 ) -> SubsetExploration:
@@ -125,54 +73,14 @@ def explore_subset_construction(
     shallowest growth frontier.  Returns a :class:`SubsetExploration`;
     never raises on blowup (that is the result, not an error).
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    tables = flatten_network(network)
-    accept_masks, n_classes = _accept_masks(tables, network)
-    succ_masks = _successor_masks(tables)
-    always_mask = 0
-    for gid in tables.always:
-        always_mask |= 1 << gid
-    initial_mask = 0
-    for gid in tables.initial:
-        initial_mask |= 1 << gid
-
-    seen: Dict[int, None] = {initial_mask: None}
-    frontier: Deque[Tuple[int, int]] = deque([(initial_mask, 0)])
-    max_subset_size = bin(initial_mask).count("1")
-
-    while frontier:
-        current, depth = frontier.popleft()
-        # Memoize successor-union per activated set?  Not needed: each
-        # subset is expanded once, and the AND below prunes to the states
-        # that actually fire for this class.
-        for cls in range(n_classes):
-            activated = current & accept_masks[cls]
-            nxt = always_mask
-            for gid in _bits(activated):
-                nxt |= succ_masks[gid]
-            if nxt not in seen:
-                if len(seen) >= budget:
-                    return SubsetExploration(
-                        dfa_safe=False,
-                        budget=budget,
-                        n_subset_states=len(seen) + 1,
-                        n_classes=n_classes,
-                        n_nfa_states=tables.n_states,
-                        max_subset_size=max_subset_size,
-                        frontier_depth=depth + 1,
-                    )
-                seen[nxt] = None
-                frontier.append((nxt, depth + 1))
-                size = bin(nxt).count("1")
-                if size > max_subset_size:
-                    max_subset_size = size
+    tables = subset_tables(compile_network(network))
+    built = construct(tables, budget)
     return SubsetExploration(
-        dfa_safe=True,
+        dfa_safe=built.complete,
         budget=budget,
-        n_subset_states=len(seen),
-        n_classes=n_classes,
+        n_subset_states=built.n_subsets,
+        n_classes=tables.n_classes,
         n_nfa_states=tables.n_states,
-        max_subset_size=max_subset_size,
-        frontier_depth=None,
+        max_subset_size=built.max_subset_size,
+        frontier_depth=built.frontier_depth,
     )

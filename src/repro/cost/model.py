@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..nfa.symbolset import ALPHABET_SIZE
+from ..sim.dfa import DFA_TABLE_BUDGET
 
 __all__ = [
     "BACKENDS",
@@ -70,12 +71,6 @@ BACKENDS: Tuple[str, ...] = (
 
 #: Backends that consume one contiguous symbol stream (no enable events).
 STREAMING_BACKENDS: Tuple[str, ...] = ("multistream", "dfa", "lazydfa")
-
-#: Memory budget for a materialized DFA transition table (bytes).  A safe
-#: subset count whose table would still exceed this is advised against
-#: (SPAP-C004): the dtype-priced table (:func:`dfa_entry_bytes`) must fit
-#: cache-adjacent memory.
-DFA_TABLE_BUDGET = 32 << 20
 
 
 def dfa_entry_bytes(n_dfa_states: int) -> int:

@@ -7,7 +7,6 @@ from .analysis import analyze_automaton, analyze_network, depth_buckets
 from .anml import network_from_anml, network_to_anml
 from .transforms import duplicate_network, merge_common_prefixes
 from .mnrl import network_from_mnrl, network_to_mnrl
-from .determinize import DFA, DeterminizeError, determinize
 from .elements import Counter, CounterMode, ElementNetwork, Gate, GateKind
 
 __all__ = [
@@ -28,9 +27,6 @@ __all__ = [
     "merge_common_prefixes",
     "network_from_mnrl",
     "network_to_mnrl",
-    "DFA",
-    "DeterminizeError",
-    "determinize",
     "Counter",
     "CounterMode",
     "ElementNetwork",

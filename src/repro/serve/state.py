@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 from ..experiments.config import ExperimentConfig, default_config
 from ..nfa.automaton import Network
 from ..sim.compiled import CompiledNetwork, compile_network
-from ..sim.dfa import CompiledDFA, compile_dfa, dfa_feasible, dfa_run
+from ..sim.dfa import CompiledDFA, DfaInfeasibleError, compile_dfa, dfa_run
 from ..sim.lazydfa import CompiledLazyDfa, compile_lazydfa, lazydfa_run
 from ..sim.multistream import run_multi
 from ..sim.result import SimResult
@@ -149,10 +149,11 @@ class ServeState:
 
         Injected networks have no registry pipeline (hence no cost
         advisory), so a non-multistream server backend selects on
-        feasibility alone: ``dfa``/``auto`` take the table engine when the
-        network is proven safe, ``lazydfa`` (or ``auto`` on an unsafe
-        network) takes the hybrid.  Under ``reduce=True`` the injected
-        network is reduced exactly like a registry one.
+        feasibility alone: ``dfa``/``auto`` take the table engine when
+        :func:`compile_dfa` succeeds (a successful build is the proof),
+        ``lazydfa`` (or ``auto`` on an unsafe network) takes the hybrid.
+        Under ``reduce=True`` the injected network is reduced exactly like
+        a registry one.
         """
         reduction = None
         if self.reduce:
@@ -164,11 +165,14 @@ class ServeState:
         with self.timer.stage("compile_app"):
             entry = AppEntry(name=name, compiled=compile_network(network),
                              reduction=reduction)
-        if self.backend in ("dfa", "auto") and dfa_feasible(network):
-            with self.timer.stage("compile_dfa"):
-                entry.dfa = compile_dfa(network)
-            entry.backend = "dfa"
-        elif self.backend in ("lazydfa", "auto"):
+        if self.backend in ("dfa", "auto"):
+            try:
+                with self.timer.stage("compile_dfa"):
+                    entry.dfa = compile_dfa(network)
+                entry.backend = "dfa"
+            except DfaInfeasibleError:
+                pass  # not DFA-safe: auto falls through to the hybrid
+        if entry.dfa is None and self.backend in ("lazydfa", "auto"):
             with self.timer.stage("compile_lazydfa"):
                 entry.lazydfa = compile_lazydfa(network)
             entry.backend = "lazydfa"

@@ -7,67 +7,70 @@ For partitions the budgeted explorer (:mod:`repro.cost.explore`) proves
 DFA-safe, neither cost is necessary: subset construction collapses every
 enabled set into a single integer state, and execution becomes one dense
 table lookup per symbol — the CPU-DFA regime of the paper's §VIII related
-work, with CAMA-style symbol-class column compression riding on
-:func:`repro.nfa.determinize.alphabet_classes`.
+work, with CAMA-style symbol-class column compression.
 
-:func:`compile_dfa` materializes :func:`~repro.nfa.determinize.determinize`
-output into a dense ``(n_dfa_states, n_classes)`` transition table (uint16
-when the state count fits, uint32 otherwise — the same dtype ladder the
-cost model's feasibility gate prices via
-:func:`repro.cost.model.dfa_entry_bytes`), a symbol→class translation
-vector, and flat per-``(state, class)`` report tuples.  :func:`dfa_run`
-then executes a tight index-chase loop whose per-symbol work is three list
-indexing operations — no NumPy dispatch, no set manipulation — which is
-what buys the 10x+ MB/s over the bit-packed engine recorded in
-``BENCH_engine.json``.
+:func:`compile_dfa` runs the shared subset-construction core
+(:func:`repro.sim.subset.construct` with ``rows=True``) and packs its rows
+into a dense ``(n_dfa_states, n_classes)`` transition table (uint16 when
+the state count fits, uint32 otherwise — the same dtype ladder the cost
+model's feasibility gate prices via :func:`repro.cost.model.dfa_entry_bytes`),
+a symbol→class translation vector, and flat per-``(state, class)`` report
+tuples.  :func:`dfa_run` then executes a tight index-chase loop whose
+per-symbol work is three list indexing operations — no NumPy dispatch, no
+set manipulation — which is what buys the 10x+ MB/s over the bit-packed
+engine recorded in ``BENCH_engine.json``.
 
 Feasibility is gated twice, honoring the same limits the advisory uses
-(DESIGN.md §13): the subset-state budget (``DEFAULT_DFA_BUDGET``,
-surfaced as :class:`~repro.nfa.determinize.DeterminizeError` blowup) and
-the materialized-table memory budget
-(:data:`repro.cost.model.DFA_TABLE_BUDGET`).  Both failure modes raise
-:class:`DfaInfeasibleError`; :func:`dfa_feasible` answers the same
-question non-destructively without building any table.
+(DESIGN.md §13): the subset-state budget (:data:`DEFAULT_DFA_BUDGET`) and
+the materialized-table memory budget (:data:`DFA_TABLE_BUDGET`).  Both
+failure modes raise :class:`DfaInfeasibleError`; a successful build is
+itself the proof.  :func:`dfa_feasible` answers the same question without
+building rows.
 
 Results are bit-identical to the reference engine — reports *and*, when
 ``track_enabled`` is requested, the ever-enabled set, recovered from the
-subset-construction witness each DFA state carries
-(``DFA.subsets``) — property-gated by ``tests/test_dfa_backend.py`` and
-the cross-engine suite.
+subset each DFA state encodes (``subset_masks``) — property-gated by
+``tests/test_dfa_backend.py`` and the cross-engine suite.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .. import bitops
 from ..nfa.automaton import Network
 from ..nfa.symbolset import ALPHABET_SIZE
+from .compiled import compile_network
 from .engine import as_input_array
 from .result import SimResult, reports_to_array
-
-# ``repro.nfa.determinize`` itself imports ``repro.sim.result``, which
-# executes this package's __init__ (and therefore this module) while
-# determinize is still half-built — so the determinize import must stay
-# function-local (compile_dfa) / type-only here.
-if TYPE_CHECKING:
-    from ..nfa.determinize import DFA
+from .subset import (
+    DEFAULT_DFA_BUDGET,
+    SubsetConstruction,
+    SubsetTables,
+    construct,
+    subset_tables,
+)
 
 __all__ = [
     "CompiledDFA",
+    "DFA_TABLE_BUDGET",
     "DfaInfeasibleError",
-    "compile_determinized",
     "compile_dfa",
     "dfa_feasible",
     "dfa_run",
     "dfa_table_dtype",
+    "pack_dfa",
 ]
 
 InputLike = Union[bytes, bytearray, str, np.ndarray, Sequence[int]]
+
+#: Memory budget for a materialized DFA transition table (bytes).  A safe
+#: subset count whose table would still exceed this is advised against
+#: (SPAP-C004): the dtype-priced table must fit cache-adjacent memory.
+DFA_TABLE_BUDGET = 32 << 20
 
 
 class DfaInfeasibleError(RuntimeError):
@@ -86,21 +89,6 @@ def dfa_table_dtype(n_dfa_states: int) -> "np.dtype[np.unsignedinteger]":
     a cross-check in ``tests/test_dfa_backend.py``.
     """
     return np.dtype(np.uint16) if n_dfa_states <= 0xFFFF else np.dtype(np.uint32)
-
-
-def _default_budgets(
-    budget: Optional[int], table_budget: Optional[int]
-) -> Tuple[int, int]:
-    """Resolve the subset-state and table-byte budgets (deferred imports:
-    ``repro.cost`` imports ``repro.sim`` modules, so importing it at module
-    scope here would create a package cycle)."""
-    from ..cost.explore import DEFAULT_DFA_BUDGET
-    from ..cost.model import DFA_TABLE_BUDGET
-
-    return (
-        DEFAULT_DFA_BUDGET if budget is None else budget,
-        DFA_TABLE_BUDGET if table_budget is None else table_budget,
-    )
 
 
 @dataclass
@@ -179,102 +167,82 @@ class CompiledDFA:
         return flat, self.reports_mid, self.reports
 
 
-def _flatten_reports(
-    rows: List[List[Tuple[int, ...]]]
-) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(fired for row in rows for fired in row)
+def _table_bytes(n_dfa_states: int, n_classes: int) -> int:
+    """Transition-table plus byte->class-map footprint, priced with the
+    dtype :func:`dfa_table_dtype` would pick."""
+    return (
+        n_dfa_states * n_classes * dfa_table_dtype(n_dfa_states).itemsize
+        + ALPHABET_SIZE
+    )
+
+
+def pack_dfa(tables: SubsetTables, built: SubsetConstruction) -> CompiledDFA:
+    """Pack a complete ``construct(..., rows=True)`` into execution tables.
+
+    Applies no budget gate: the advisory soundness replay (SPAP-C001) packs
+    proven-safe partitions whose table exceeds the byte budget too.
+    """
+    n = built.n_subsets
+    n_words = tables.n_words
+    transitions = np.array(built.transitions, dtype=dfa_table_dtype(n))
+    subset_bytes = b"".join(key.to_bytes(n_words * 8, "little") for key in built.subsets)
+    return CompiledDFA(
+        n_states=n,
+        n_nfa_states=tables.n_states,
+        n_classes=tables.n_classes,
+        n_words=n_words,
+        class_of_symbol=tables.class_of_symbol,
+        transitions=transitions.reshape(n, tables.n_classes),
+        reports=built.reports,
+        reports_mid=built.reports_mid,
+        subset_masks=np.frombuffer(subset_bytes, dtype="<u8")
+        .astype(np.uint64)
+        .reshape(n, n_words),
+    )
 
 
 def compile_dfa(
     network: Network,
     *,
-    budget: Optional[int] = None,
-    table_budget: Optional[int] = None,
+    budget: int = DEFAULT_DFA_BUDGET,
+    table_budget: int = DFA_TABLE_BUDGET,
 ) -> CompiledDFA:
     """Determinize ``network`` and materialize the dense execution tables.
 
-    ``budget`` caps subset construction (default
-    :data:`repro.cost.explore.DEFAULT_DFA_BUDGET`); ``table_budget`` caps
-    the materialized transition-table bytes (default
-    :data:`repro.cost.model.DFA_TABLE_BUDGET`).  Raises
-    :class:`DfaInfeasibleError` when either gate fails, so callers have a
-    single feasibility surface regardless of *why* the DFA is off the
-    table.
+    ``budget`` caps subset construction; ``table_budget`` caps the
+    materialized transition-table bytes.  Raises :class:`DfaInfeasibleError`
+    when either gate fails, so callers have a single feasibility surface
+    regardless of *why* the DFA is off the table.
     """
-    from ..nfa.determinize import DeterminizeError, determinize
-
-    state_budget, byte_budget = _default_budgets(budget, table_budget)
-    try:
-        dfa = determinize(network, max_states=state_budget)
-    except DeterminizeError as exc:
+    tables = subset_tables(compile_network(network))
+    built = construct(tables, budget, rows=True)
+    if not built.complete:
         raise DfaInfeasibleError(
-            f"subset construction burst the {state_budget}-state budget: {exc}"
-        ) from exc
-    compiled = compile_determinized(network, dfa)
-    if compiled.table_bytes > byte_budget:
-        raise DfaInfeasibleError(
-            f"DFA table needs {compiled.table_bytes} B "
-            f"({compiled.n_states} states x {compiled.n_classes} classes x "
-            f"{compiled.transitions.dtype.itemsize} B) "
-            f"> budget {byte_budget} B"
+            f"subset construction burst the {budget}-state budget "
+            f"at BFS depth {built.frontier_depth}"
         )
-    return compiled
-
-
-def compile_determinized(network: Network, dfa: DFA) -> CompiledDFA:
-    """Pack an already-determinized :class:`~repro.nfa.determinize.DFA`.
-
-    Split out of :func:`compile_dfa` so tests and callers holding a DFA
-    (e.g. the advisory soundness replay) can build execution tables
-    without re-running subset construction.  Applies no budget gates.
-    """
-    n_nfa = network.n_states
-    n_words = bitops.num_words(max(n_nfa, 1))
-    dtype = dfa_table_dtype(dfa.n_states)
-    transitions = np.ascontiguousarray(dfa.transitions.astype(dtype))
-    subset_masks = np.zeros((dfa.n_states, n_words), dtype=np.uint64)
-    for index, subset in enumerate(dfa.subsets):
-        if subset:
-            subset_masks[index] = bitops.from_indices(sorted(subset), max(n_nfa, 1))
-    return CompiledDFA(
-        n_states=dfa.n_states,
-        n_nfa_states=n_nfa,
-        n_classes=dfa.n_classes,
-        n_words=n_words,
-        class_of_symbol=dfa.class_of_symbol,
-        transitions=transitions,
-        reports=_flatten_reports(dfa.reports),
-        reports_mid=_flatten_reports(dfa.reports_mid),
-        subset_masks=subset_masks,
-    )
+    table_bytes = _table_bytes(built.n_subsets, tables.n_classes)
+    if table_bytes > table_budget:
+        raise DfaInfeasibleError(
+            f"DFA table needs {table_bytes} B "
+            f"({built.n_subsets} states x {tables.n_classes} classes x "
+            f"{dfa_table_dtype(built.n_subsets).itemsize} B) "
+            f"> budget {table_budget} B"
+        )
+    return pack_dfa(tables, built)
 
 
 def dfa_feasible(
     network: Network,
     *,
-    budget: Optional[int] = None,
-    table_budget: Optional[int] = None,
+    budget: int = DEFAULT_DFA_BUDGET,
+    table_budget: int = DFA_TABLE_BUDGET,
 ) -> bool:
-    """Whether :func:`compile_dfa` would succeed, without building tables.
-
-    Runs the budgeted subset-construction explorer (cheap bitmask walk, no
-    transition rows) and prices the would-be table with the actual entry
-    dtype — the same two gates :func:`compile_dfa` enforces.
-    """
-    from ..cost.explore import explore_subset_construction
-    from ..cost.model import dfa_entry_bytes
-
-    state_budget, byte_budget = _default_budgets(budget, table_budget)
-    exploration = explore_subset_construction(network, budget=state_budget)
-    if not exploration.dfa_safe:
-        return False
-    table_bytes = (
-        exploration.n_subset_states
-        * exploration.n_classes
-        * dfa_entry_bytes(exploration.n_subset_states)
-        + ALPHABET_SIZE
-    )
-    return table_bytes <= byte_budget
+    """Whether :func:`compile_dfa` would succeed, without building rows:
+    the same two gates, over a counting-only construction."""
+    tables = subset_tables(compile_network(network))
+    built = construct(tables, budget)
+    return built.complete and _table_bytes(built.n_subsets, tables.n_classes) <= table_budget
 
 
 def dfa_run(

@@ -8,10 +8,10 @@ tiny even when the *reachable* space explodes (the DFA-vs-NFA tradeoff
 literature in PAPERS.md), so this module executes the subset construction
 *lazily*: an LRU-capped cache maps each subset actually reached during
 execution to a per-symbol-class row of ``(successor, report tuples)``
-cells, materialized on first use from the same
-:class:`~repro.nfa.determinize.NetworkTables` substrate ``determinize``
-walks — one cache entry per (subset, class) pair ever exercised, never the
-full reachable table.
+cells, materialized on first use by the shared subset-construction step
+(:meth:`repro.sim.subset.SubsetTables.step`) the eager backend builds its
+table with — one cache entry per (subset, class) pair ever exercised,
+never the full reachable table.
 
 Execution (DESIGN.md §14):
 
@@ -19,10 +19,8 @@ Execution (DESIGN.md §14):
   and its successor link points at a live cached row: emit the
   pre-computed report tuple and follow the link.  Per-symbol work is a
   list index, a tuple unpack, and an attribute check — DFA speed.
-* **Miss** — the cell is empty: perform a single bit-parallel NFA step
-  (big-int AND with the class accept mask, OR of successor masks, plus
-  the ``always`` re-enable — semantically identical to one
-  :func:`repro.sim.engine.run` cycle), memoize the resulting cell, and
+* **Miss** — the cell is empty: perform one subset step (semantically
+  one :func:`repro.sim.engine.run` cycle), memoize the resulting cell, and
   re-enter the cache at the successor subset.
 * **Eviction** — rows beyond ``capacity`` are dropped LRU-first; evicted
   rows are tombstoned (``live = False``) so stale successor links repair
@@ -56,8 +54,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from ..nfa.automaton import Network
+from .compiled import compile_network
 from .engine import as_input_array
 from .result import SimResult, reports_to_array
+from .subset import SubsetTables, subset_tables
 
 __all__ = [
     "DEFAULT_LAZY_CAPACITY",
@@ -102,40 +102,20 @@ class _Row:
         self.live = True
 
 
-def _bits(mask: int) -> List[int]:
-    """Indices of set bits, ascending (global state ids of a subset key)."""
-    out: List[int] = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class CompiledLazyDfa:
-    """Lazy-DFA execution artifact: flattened masks plus the subset cache.
+    """Lazy-DFA execution artifact: subset tables plus the subset cache.
 
-    Holds the network flattened to big-int masks (per-class accept masks,
-    per-state successor masks, always/initial/report masks — the
-    determinization view of :func:`repro.nfa.determinize.flatten_network`)
-    and the LRU subset cache that persists across runs, so repeated inputs
-    over the same artifact execute mostly at table speed.  Lifetime cache
+    Holds the network's :class:`~repro.sim.subset.SubsetTables` and the
+    LRU subset cache that persists across runs, so repeated inputs over
+    the same artifact execute mostly at table speed.  Lifetime cache
     counters are exposed via :meth:`cache_stats`; :meth:`clear_cache`
     resets both the cache and those counters.
     """
 
     def __init__(
         self,
+        tables: SubsetTables,
         *,
-        n_states: int,
-        n_classes: int,
-        class_of_symbol: np.ndarray,
-        class_accept: List[int],
-        succ_masks: List[int],
-        always_mask: int,
-        initial_mask: int,
-        report_mask: int,
-        mid_report_mask: int,
         capacity: int = DEFAULT_LAZY_CAPACITY,
         churn_factor: float = DEFAULT_CHURN_FACTOR,
     ) -> None:
@@ -145,16 +125,7 @@ class CompiledLazyDfa:
             raise ValueError(
                 f"lazy-DFA churn factor must be > 0, got {churn_factor}"
             )
-        self.n_states = n_states
-        self.n_words = (max(n_states, 1) + 63) // 64
-        self.n_classes = n_classes
-        self.class_of_symbol = class_of_symbol
-        self.class_accept = class_accept
-        self.succ_masks = succ_masks
-        self.always_mask = always_mask
-        self.initial_mask = initial_mask
-        self.report_mask = report_mask
-        self.mid_report_mask = mid_report_mask
+        self.tables = tables
         self.capacity = capacity
         self.churn_factor = churn_factor
         # OrderedDict semantics via plain dict: Python dicts preserve
@@ -220,24 +191,6 @@ class CompiledLazyDfa:
             self.evictions = 0
             self.fallback_steps = 0
 
-    def _step(self, mask: int, cls: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-        """One subset-construction transition from ``mask`` on class ``cls``.
-
-        Semantically one :func:`repro.sim.engine.run` cycle: AND with the
-        class accept mask, report from the activated states, OR successor
-        masks, re-enable the always-start states.
-        """
-        activated = mask & self.class_accept[cls]
-        fired = tuple(_bits(activated & self.report_mask))
-        fired_mid = tuple(_bits(activated & self.mid_report_mask))
-        nxt = self.always_mask
-        succ_masks = self.succ_masks
-        while activated:
-            low = activated & -activated
-            nxt |= succ_masks[low.bit_length() - 1]
-            activated ^= low
-        return nxt, fired_mid, fired
-
 
 def compile_lazydfa(
     network: Network,
@@ -245,65 +198,15 @@ def compile_lazydfa(
     capacity: int = DEFAULT_LAZY_CAPACITY,
     churn_factor: float = DEFAULT_CHURN_FACTOR,
 ) -> CompiledLazyDfa:
-    """Flatten ``network`` into the lazy-DFA masks; no subset construction
+    """Derive the subset tables of ``network``; no subset construction
     runs here — the cache fills during execution.
 
     Unlike :func:`repro.sim.dfa.compile_dfa` there is no feasibility gate:
     the cache is bounded by ``capacity`` regardless of how large the
     reachable subset space is, which is the whole point of the hybrid.
     """
-    # repro.nfa.determinize imports repro.sim.result, so the import must
-    # stay function-local here (same cycle dance as repro.sim.dfa).
-    from ..nfa.determinize import (
-        alphabet_classes,
-        class_representatives,
-        flatten_network,
-    )
-
-    tables = flatten_network(network)
-    class_of, n_classes = alphabet_classes(network)
-    representative = class_representatives(class_of, n_classes)
-    n = tables.n_states
-
-    succ_masks: List[int] = []
-    for gid in range(n):
-        mask = 0
-        for successor in tables.successors[gid]:
-            mask |= 1 << successor
-        succ_masks.append(mask)
-
-    class_accept = [0] * n_classes
-    for gid, symbol_set in enumerate(tables.symbol_sets):
-        bit = 1 << gid
-        for cls in range(n_classes):
-            if symbol_set.matches(int(representative[cls])):
-                class_accept[cls] |= bit
-
-    report_mask = 0
-    mid_report_mask = 0
-    for gid in range(n):
-        if tables.reporting[gid]:
-            report_mask |= 1 << gid
-            if not tables.eod[gid]:
-                mid_report_mask |= 1 << gid
-
-    always_mask = 0
-    for gid in tables.always:
-        always_mask |= 1 << gid
-    initial_mask = 0
-    for gid in tables.initial:
-        initial_mask |= 1 << gid
-
     return CompiledLazyDfa(
-        n_states=n,
-        n_classes=n_classes,
-        class_of_symbol=class_of,
-        class_accept=class_accept,
-        succ_masks=succ_masks,
-        always_mask=always_mask,
-        initial_mask=initial_mask,
-        report_mask=report_mask,
-        mid_report_mask=mid_report_mask,
+        subset_tables(compile_network(network)),
         capacity=capacity,
         churn_factor=churn_factor,
     )
@@ -324,10 +227,13 @@ def lazydfa_run(
     them afterwards — the cached rows double as subset witnesses, mirroring
     the eager backend's ``subset_masks`` recovery.
     """
+    tables = compiled.tables
+    step = tables.step
+    reports_of = tables.fired
     symbols = as_input_array(input_data)
     n = int(symbols.size)
     classes: List[int] = (
-        compiled.class_of_symbol[symbols].tolist() if n else []
+        tables.class_of_symbol[symbols].tolist() if n else []
     )
     out: List[Tuple[int, int]] = []
     append = out.append
@@ -335,7 +241,7 @@ def lazydfa_run(
 
     with compiled._lock:
         cache = compiled._cache
-        n_classes = compiled.n_classes
+        n_classes = tables.n_classes
         capacity = compiled.capacity
         churn_limit = compiled.capacity * compiled.churn_factor
         caching = True
@@ -366,7 +272,7 @@ def lazydfa_run(
                     caching = False
             return made
 
-        cur = compiled.initial_mask
+        cur = tables.initial
         row = lookup(cur)
         last = n - 1
         for position in range(n):
@@ -378,9 +284,8 @@ def lazydfa_run(
                 assert cells is not None  # live rows always hold cells
                 cell = cells[cls]
                 if cell is None:
-                    nxt_mask, fired_mid, fired_full = compiled._step(
-                        row.mask, cls
-                    )
+                    activated, nxt_mask = step(row.mask, cls)
+                    fired_mid, fired_full = reports_of(activated)
                     builds += 1
                     nxt_row = row if nxt_mask == cur else lookup(nxt_mask)
                     cell = (nxt_mask, fired_mid, fired_full, nxt_row)
@@ -406,7 +311,8 @@ def lazydfa_run(
                 # Fallback step: the current subset is uncached (churn
                 # burst); execute one bit-parallel NFA step and try to
                 # re-enter the cache at the successor.
-                nxt_mask, fired_mid, fired_full = compiled._step(cur, cls)
+                activated, nxt_mask = step(cur, cls)
+                fired_mid, fired_full = reports_of(activated)
                 fallback += 1
                 fired = fired_full if position == last else fired_mid
                 if fired:
@@ -421,16 +327,16 @@ def lazydfa_run(
         compiled.evictions += evictions
         compiled.fallback_steps += fallback
 
-    ever = np.zeros(compiled.n_words, dtype=np.uint64)
+    ever = np.zeros(tables.n_words, dtype=np.uint64)
     if visited:
         ever_int = 0
         for mask in visited:
             ever_int |= mask
         ever = np.frombuffer(
-            ever_int.to_bytes(compiled.n_words * 8, "little"), dtype=np.uint64
+            ever_int.to_bytes(tables.n_words * 8, "little"), dtype=np.uint64
         ).copy()
     return SimResult(
-        n_states=compiled.n_states,
+        n_states=tables.n_states,
         n_symbols=n,
         cycles=n,
         reports=reports_to_array(out),

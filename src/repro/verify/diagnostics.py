@@ -318,14 +318,16 @@ RULES: Dict[str, Rule] = _rules(
     # -- compilability & cost advisories (repro.cost) --------------------------
     Rule(
         "SPAP-C001",
-        "DFA-safety proof contradicted by determinization",
+        "DFA-safety proof contradicted by the built DFA",
         Severity.ERROR,
         "§VIII",
-        "the budgeted explorer claims to walk exactly the transition "
-        "function determinize materializes; a count mismatch, an "
-        "unexpected DeterminizeError, or a replay divergence against the "
-        "reference simulator means the analysis is unsound — file a bug "
-        "against repro.cost.explore",
+        "the explorer and the DFA backend run the same subset-construction "
+        "core (repro.sim.subset), once counting and once building rows; a "
+        "count mismatch, a burst of the proven budget, or a replay "
+        "divergence of the built table against the reference simulator "
+        "means the analysis is unsound — file a bug against "
+        "repro.sim.subset (tests check the core against an independent "
+        "frozenset oracle)",
     ),
     Rule(
         "SPAP-C002",

@@ -1,25 +1,17 @@
-"""Subset-construction determinization of homogeneous NFA networks.
+"""Independent oracle: frozenset subset construction of an NFA network.
 
-CPU regex engines of the paper's era (its DFA-acceleration related work,
-§VIII) execute DFAs: one table lookup per symbol, at the cost of potential
-state blowup.  This module builds that substrate: a DFA equivalent to a
-whole network, with alphabet compression (symbols that no state
-distinguishes share a column) and a state cap that surfaces blowup instead
-of hanging.
+A deliberately naive determinizer that shares no code with the
+subset-construction core in ``repro.sim.subset``: it flattens the
+:class:`~repro.nfa.automaton.Network` itself, computes alphabet classes by
+testing every symbol-set against every byte, and walks subsets as
+frozensets, depth-first.  Tests compare the core's subset counts, tables
+and reports against it, so a bug in the core cannot hide behind a shared
+helper.
 
 Semantics match the network exactly: a DFA state is the set of enabled NFA
 states; all-input start states are re-enabled on every transition, and a
 transition that activates reporting NFA states emits those reports at the
 consumed position.
-
-The flattening (:func:`flatten_network`), alphabet-class computation
-(:func:`alphabet_classes`), and per-class representative selection
-(:func:`class_representatives`) are public because the budgeted
-subset-construction *explorer* in :mod:`repro.cost.explore` must walk
-exactly the same transition function this module materializes: sharing the
-tables is what makes its DFA-safety verdicts proofs about *this*
-``determinize`` rather than about a reimplementation that could drift
-(DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -29,9 +21,9 @@ from typing import Dict, FrozenSet, List, Tuple, Union
 
 import numpy as np
 
-from ..sim.result import reports_to_array
-from .automaton import Network, StartKind
-from .symbolset import ALPHABET_SIZE, SymbolSet
+from repro.nfa.automaton import Network, StartKind
+from repro.nfa.symbolset import ALPHABET_SIZE, SymbolSet
+from repro.sim.result import reports_to_array
 
 __all__ = [
     "DFA",
@@ -138,9 +130,8 @@ class DFA:
     that transition (empty tuple if silent); ``reports_mid`` is the same
     with end-of-data reporters removed (used at every position except the
     last).  ``subsets[s]`` is the set of global NFA states DFA state ``s``
-    encodes — the subset-construction witness, kept so downstream
-    consumers (:mod:`repro.sim.dfa`) can recover NFA-level facts such as
-    the ever-enabled set without re-running subset construction.
+    encodes — the subset-construction witness tests compare the core's
+    ``subset_masks`` against.
     """
 
     n_states: int
@@ -180,9 +171,8 @@ def determinize(network: Network, *, max_states: int = 65536) -> DFA:
     Raises :class:`DeterminizeError` when more than ``max_states`` subset
     states are generated (the classic DFA blowup the AP avoids natively).
     A network whose reachable-subset count is *exactly* ``max_states``
-    succeeds — the same boundary semantics as the budgeted explorer in
-    :mod:`repro.cost.explore`, pinned by the boundary regression tests in
-    ``tests/test_dfa_backend.py``.
+    succeeds — the same boundary semantics as ``repro.sim.subset.construct``,
+    pinned by the boundary regression tests in ``tests/test_dfa_backend.py``.
     """
     if max_states < 1:
         # Mirror the explorer's budget validation: the initial subset always

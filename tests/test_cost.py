@@ -1,12 +1,12 @@
 """Tests for repro.cost: DFA-safety proofs, class compression, cost model.
 
-The explorer's ``dfa_safe`` verdict is a *proof* about
-``nfa.determinize.determinize`` (DESIGN.md §12): every safe verdict must be
-reproducible by real determinization at the same budget with exactly the
-proven state count, and the materialized DFA must replay bit-identical
-reports against the reference simulator.  The full-registry gate at the
-bottom replays that claim across the 26-app corpus — zero false proofs is
-an acceptance criterion, not a statistic.
+The explorer's ``dfa_safe`` verdict is a *proof* about subset construction
+(DESIGN.md §12): every safe verdict must be reproducible by the independent
+frozenset oracle (``determinize_oracle.py``) at the same budget with exactly
+the proven state count, and the built DFA must replay bit-identical reports
+against the reference simulator.  The full-registry gate at the bottom
+replays that claim across the 26-app corpus — zero false proofs is an
+acceptance criterion, not a statistic.
 """
 
 import json
@@ -27,20 +27,23 @@ from repro.cost import (
     advise_network,
     analyze_symbol_classes,
     check_advisory_soundness,
+    analyze_run_cost,
     cost_app,
     emit_advisory_diagnostics,
     explore_subset_construction,
     rank_backends,
 )
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.pipeline import AppRun
 from repro.nfa.automaton import Network
 from repro.nfa.build import literal_chain
-from repro.nfa.determinize import DeterminizeError, determinize
+from repro.sim.dfa import DfaInfeasibleError, compile_dfa
 from repro.sim.reference import reference_run
 from repro.sim.result import reports_equal
 from repro.verify.diagnostics import VerificationReport
-from repro.workloads.registry import app_names
+from repro.workloads.registry import app_names, get_app
 
+from determinize_oracle import DeterminizeError, determinize
 from helpers import random_automaton, random_input, seeds
 
 _CONFIG = ExperimentConfig(scale=64, input_len=512)
@@ -269,6 +272,17 @@ class TestAdvisory:
         assert "SPAP-C001" in report.codes()
         assert not report.ok
 
+    def test_table_over_byte_budget_does_not_trip_c001(self):
+        # A proven-safe partition whose table exceeds the byte budget is
+        # SPAP-C004's finding; the soundness replay applies no byte gate.
+        network = _patterns_net(b"abc", b"abd")
+        with pytest.raises(DfaInfeasibleError):
+            compile_dfa(network, table_budget=1)
+        advisory = advise_network(network)
+        report = VerificationReport(subject="t")
+        check_advisory_soundness(network, advisory, report, replay_input=b"abcabd")
+        assert "SPAP-C001" not in report.codes()
+
     def test_unsafe_advisory_skips_the_differential(self):
         advisory = advise_network(_patterns_net(b"abc", b"abd"), budget=2)
         report = VerificationReport(subject="t")
@@ -303,12 +317,28 @@ class TestCostApp:
     def test_soundness_gate(self, abbr):
         """The CI gate: zero false DFA-safe proofs across the corpus.
 
-        Every partition proven safe at the default budget is replayed
-        through real determinization and a bit-identical report comparison
-        against the reference simulator (SPAP-C001 differential)."""
-        outcome = cost_app(abbr, _CONFIG, check=True)
+        Every partition proven safe at the default budget is rebuilt with
+        rows and replayed bit-identically against the reference simulator
+        (SPAP-C001 differential), and its proven subset count must equal the
+        independent oracle's state count."""
+        run = AppRun(get_app(abbr), replace(_CONFIG, verify=False))
+        fraction = run.config.profile_fractions[-1]
+        outcome = analyze_run_cost(run, fraction=fraction, check=True)
         assert outcome.ok, outcome.report.render_text(verbose=True)
         assert "SPAP-C001" not in outcome.report.codes()
+        partitioned, _bins = run.partition(fraction, run.config.half_core)
+        networks = {
+            "network": run.network,
+            "hot": partitioned.hot,
+            "cold": partitioned.cold,
+        }
+        for advisory in outcome.cost.advisories:
+            if advisory.dfa_safe:
+                oracle = determinize(
+                    networks[advisory.partition],
+                    max_states=advisory.exploration.budget,
+                )
+                assert oracle.n_states == advisory.dfa_states, advisory.partition
 
 
 class TestCostCli:

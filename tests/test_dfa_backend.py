@@ -3,13 +3,14 @@
 Four layers of pinning for :mod:`repro.sim.dfa` and the pluggable-engine
 registry (DESIGN.md §13):
 
-* the dense transition table is re-derived cell-by-cell from the
-  :class:`~repro.nfa.determinize.NetworkTables` successor function, so the
-  materialized array can never drift from subset construction;
+* the dense transition table is checked cell-by-cell against the
+  independent frozenset oracle (``determinize_oracle.py``), matching states
+  by the subsets ``subset_masks`` decodes to (the core numbers states
+  breadth-first, the oracle depth-first);
 * symbol→class translation composes with the per-class representatives,
   and the executor is byte-for-byte identical to the reference engine over
   the *full* 256-symbol alphabet (not just the small test alphabet);
-* the determinize/explorer state budgets share exact boundary semantics
+* the oracle, the explorer and ``compile_dfa`` share exact budget semantics
   (admit exactly ``budget`` states, reject ``budget`` + 1, reject a
   budget of 0 loudly) — the off-by-one regression tests;
 * the engine registry mirrors the cost model's canonical backend names,
@@ -19,10 +20,10 @@ registry (DESIGN.md §13):
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro import bitops
 from repro.cost.explore import explore_subset_construction
 from repro.cost.model import (
     BACKENDS,
@@ -33,12 +34,6 @@ from repro.cost.model import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.pipeline import get_run
 from repro.nfa.automaton import Automaton, Network, StartKind
-from repro.nfa.determinize import (
-    DeterminizeError,
-    class_representatives,
-    determinize,
-    flatten_network,
-)
 from repro.nfa.symbolset import ALPHABET_SIZE, SymbolSet
 from repro.sim import (
     ENGINES,
@@ -54,9 +49,14 @@ from repro.sim import (
     reports_equal,
     resolve_backend,
 )
-from repro.sim.dfa import compile_determinized
 from repro.workloads.registry import app_names
 
+from determinize_oracle import (
+    DeterminizeError,
+    class_representatives,
+    determinize,
+    flatten_network,
+)
 from helpers import input_lengths, random_input, random_network, seeds
 
 _CONFIG = ExperimentConfig(scale=64, input_len=512)
@@ -85,52 +85,63 @@ def _blowup_network(tail: int = 13) -> Network:
     return network
 
 
+#: The oracle's default state cap; random test networks stay far below it.
+_ORACLE_CAP = 65536
+
+
+def _decoded_subsets(compiled):
+    """The NFA-state subset each DFA state encodes, from ``subset_masks``."""
+    n = compiled.n_nfa_states
+    return [
+        frozenset(
+            int(gid)
+            for gid in np.flatnonzero(
+                np.unpackbits(row.view(np.uint8), bitorder="little")[:n]
+            )
+        )
+        for row in compiled.subset_masks
+    ]
+
+
 class TestTableMatchesNetworkTables:
-    """The dense table is exactly the NetworkTables transition function."""
+    """The dense table is exactly the oracle's transition function."""
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
     def test_random_cells_match_successor_function(self, seed):
         rng = random.Random(seed)
         network = random_network(rng)
-        dfa = determinize(network)
-        compiled = compile_determinized(network, dfa)
-        tables = flatten_network(network)
-        representative = class_representatives(
-            dfa.class_of_symbol, compiled.n_classes
-        )
-        index_of = {subset: index for index, subset in enumerate(dfa.subsets)}
+        oracle = determinize(network)
+        compiled = compile_dfa(network, budget=_ORACLE_CAP)
+        subsets = _decoded_subsets(compiled)
+        oracle_index = {subset: index for index, subset in enumerate(oracle.subsets)}
+        index_of = {subset: index for index, subset in enumerate(subsets)}
 
-        assert compiled.transitions.shape == (dfa.n_states, dfa.n_classes)
-        assert compiled.transitions.dtype == dfa_table_dtype(dfa.n_states)
-        for _ in range(25):
-            s = rng.randrange(dfa.n_states)
-            c = rng.randrange(compiled.n_classes)
-            symbol = int(representative[c])
-            activated = [
-                gid for gid in dfa.subsets[s]
-                if tables.symbol_sets[gid].matches(symbol)
-            ]
-            target = set(tables.always)
-            for gid in activated:
-                target.update(tables.successors[gid])
-            assert int(compiled.transitions[s, c]) == index_of[frozenset(target)]
-            fired = tuple(
-                sorted(gid for gid in activated if tables.reporting[gid])
-            )
-            assert compiled.reports[s * compiled.n_classes + c] == fired
+        assert compiled.n_states == oracle.n_states == len(index_of)
+        assert subsets[0] == flatten_network(network).initial
+        assert (compiled.class_of_symbol == oracle.class_of_symbol).all()
+        assert compiled.transitions.shape == (oracle.n_states, oracle.n_classes)
+        assert compiled.transitions.dtype == dfa_table_dtype(oracle.n_states)
+        for s, subset in enumerate(subsets):
+            o = oracle_index[subset]
+            for c in range(compiled.n_classes):
+                target = oracle.subsets[int(oracle.transitions[o, c])]
+                assert int(compiled.transitions[s, c]) == index_of[target]
+                flat = s * compiled.n_classes + c
+                assert compiled.reports[flat] == oracle.reports[o][c]
+                assert compiled.reports_mid[flat] == oracle.reports_mid[o][c]
 
     @settings(max_examples=25, deadline=None)
     @given(seeds)
     def test_subset_masks_encode_witnesses(self, seed):
         rng = random.Random(seed)
         network = random_network(rng)
-        dfa = determinize(network)
-        compiled = compile_determinized(network, dfa)
-        n = max(network.n_states, 1)
-        for index, subset in enumerate(dfa.subsets):
-            expected = bitops.from_indices(sorted(subset), n)
-            assert (compiled.subset_masks[index] == expected).all()
+        oracle = determinize(network)
+        compiled = compile_dfa(network, budget=_ORACLE_CAP)
+        subsets = _decoded_subsets(compiled)
+        assert compiled.subset_masks.shape == (oracle.n_states, compiled.n_words)
+        assert len(subsets) == oracle.n_states
+        assert set(subsets) == set(oracle.subsets)
 
 
 class TestClassComposition:
@@ -171,11 +182,13 @@ class TestClassComposition:
 
 
 class TestBudgetBoundary:
-    """Determinize/explorer budget semantics: exact-fit admits, +1 rejects.
+    """Budget semantics of the oracle and of both core modes — the no-rows
+    walk (the explorer) and the row-building ``compile_dfa``: exact-fit
+    admits, one fewer rejects, zero is refused loudly.
 
-    Regression tests for the budget off-by-one audit: both walkers admit a
-    reachable-subset count of exactly ``budget`` and reject ``budget + 1``,
-    and both reject a zero budget loudly instead of vacuously succeeding
+    Regression tests for the budget off-by-one audit: every walker admits a
+    reachable-subset count of exactly ``budget`` and rejects ``budget + 1``,
+    and rejects a zero budget instead of vacuously succeeding
     (``determinize(max_states=0)`` used to return a 1-state DFA, silently
     violating its own cap).
     """
@@ -186,6 +199,8 @@ class TestBudgetBoundary:
             determinize(network, max_states=0)
         with pytest.raises(ValueError):
             explore_subset_construction(network, budget=0)
+        with pytest.raises(ValueError):
+            compile_dfa(network, budget=0)
 
     @settings(max_examples=25, deadline=None)
     @given(seeds)
@@ -199,18 +214,23 @@ class TestBudgetBoundary:
         outcome = explore_subset_construction(network, budget=exact)
         assert outcome.dfa_safe
         assert outcome.n_subset_states == exact
+        assert compile_dfa(network, budget=exact).n_states == exact
 
         if exact > 1:
             with pytest.raises(DeterminizeError):
                 determinize(network, max_states=exact - 1)
             tight = explore_subset_construction(network, budget=exact - 1)
             assert not tight.dfa_safe
+            with pytest.raises(DfaInfeasibleError):
+                compile_dfa(network, budget=exact - 1)
 
     def test_explorer_and_determinize_agree_on_blowup(self):
         network = _blowup_network()
         assert not explore_subset_construction(network, budget=4096).dfa_safe
         with pytest.raises(DeterminizeError):
             determinize(network, max_states=4096)
+        with pytest.raises(DfaInfeasibleError):
+            compile_dfa(network, budget=4096)
 
 
 class TestFeasibilityGates:

@@ -15,13 +15,20 @@ from repro.core import (
 from repro.nfa.anml import network_from_anml, network_to_anml
 from repro.nfa.automaton import Network, StartKind
 from repro.nfa.build import literal_chain
-from repro.nfa.determinize import determinize
 from repro.nfa.mnrl import network_from_mnrl, network_to_mnrl
 from repro.nfa.regex import RegexError, compile_regex
-from repro.sim import compile_network, reference_run, run, run_events
+from repro.sim import (
+    compile_dfa,
+    compile_network,
+    dfa_run,
+    reference_run,
+    run,
+    run_events,
+)
 from repro.sim.matrix import matrix_compile, matrix_run
 from repro.sim.result import reports_equal
 
+from determinize_oracle import determinize
 from helpers import random_input
 
 
@@ -54,9 +61,11 @@ class TestEngineSemantics:
             ref = reference_run(network, data)
             matrix = matrix_run(matrix_compile(network), data)
             dfa = determinize(network)
+            table = dfa_run(compile_dfa(network), data)
             assert reports_equal(fast.reports, ref.reports)
             assert reports_equal(fast.reports, matrix.reports)
             assert reports_equal(fast.reports, dfa.run(data))
+            assert reports_equal(fast.reports, table.reports)
 
     def test_run_events_respects_eod(self):
         network = _eod_net(b"ab")

@@ -23,6 +23,7 @@ from repro.nfa.symbolset import SymbolSet
 from repro.sim import (
     ENGINES,
     compile_lazydfa,
+    compile_network,
     lazydfa_run,
     reference_run,
     reports_equal,
@@ -32,6 +33,7 @@ from repro.sim.lazydfa import (
     DEFAULT_LAZY_CAPACITY,
     CompiledLazyDfa,
 )
+from repro.sim.subset import subset_tables
 
 from helpers import random_input, random_network
 
@@ -190,16 +192,6 @@ class TestEngineMetadata:
         assert engine.feasible(blowup_network())
 
     def test_artifact_direct_construction_validates(self):
+        tables = subset_tables(compile_network(_network()))
         with pytest.raises(ValueError):
-            CompiledLazyDfa(
-                n_states=1,
-                n_classes=1,
-                class_of_symbol=None,
-                class_accept=[0],
-                succ_masks=[0],
-                always_mask=0,
-                initial_mask=0,
-                report_mask=0,
-                mid_report_mask=0,
-                capacity=0,
-            )
+            CompiledLazyDfa(tables, capacity=0)

@@ -1,4 +1,4 @@
-"""Tests for the MNRL interchange format and DFA determinization."""
+"""Tests for the MNRL interchange format and the determinization oracle."""
 
 import json
 import random
@@ -9,12 +9,12 @@ from hypothesis import given, settings
 
 from repro.nfa.automaton import Network, StartKind
 from repro.nfa.build import literal_chain
-from repro.nfa.determinize import DeterminizeError, determinize
 from repro.nfa.mnrl import network_from_mnrl, network_to_mnrl
 from repro.nfa.regex import compile_regex
 from repro.sim import compile_network, run
 from repro.sim.result import reports_equal
 
+from determinize_oracle import DeterminizeError, determinize
 from helpers import random_input, random_network, seeds
 
 

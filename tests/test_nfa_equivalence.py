@@ -1,6 +1,6 @@
 """Property tests: determinized/transformed automata vs the reference engine.
 
-The subset-construction DFA (``nfa/determinize.py``) and the network
+The subset-construction oracle (``tests/determinize_oracle.py``) and the network
 transforms (``nfa/transforms.py``) both claim to preserve matching
 behaviour.  These tests check that claim directly against the set-based
 reference simulator (``sim/reference.py``) — the transcription of the paper
@@ -16,17 +16,19 @@ from hypothesis import assume, given, settings
 from repro.cost.explore import explore_subset_construction
 from repro.nfa.automaton import Network, StartKind
 from repro.nfa.build import literal_chain
-from repro.nfa.determinize import (
+from repro.nfa.transforms import duplicate_network, merge_common_prefixes
+from repro.sim.compiled import compile_network
+from repro.sim.reference import reference_run
+from repro.sim.result import reports_equal
+from repro.sim.subset import subset_tables
+
+from determinize_oracle import (
     DeterminizeError,
     alphabet_classes,
     class_representatives,
     determinize,
     flatten_network,
 )
-from repro.nfa.transforms import duplicate_network, merge_common_prefixes
-from repro.sim.reference import reference_run
-from repro.sim.result import reports_equal
-
 from helpers import random_automaton, random_input, seeds
 
 #: Subset construction is exponential in the worst case; random cyclic
@@ -85,8 +87,8 @@ class TestDeterminizeVsReference:
 
 
 class TestDeterminizeHelpers:
-    """The flattened tables and alphabet classes ``determinize`` and the
-    budgeted explorer (``repro.cost.explore``) now share."""
+    """The oracle's flattened tables and alphabet classes, and the
+    subset-construction core (``repro.sim.subset``) agreeing with them."""
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
@@ -99,6 +101,11 @@ class TestDeterminizeHelpers:
         representative = class_representatives(class_of, n_classes)
         for cls in range(n_classes):
             assert class_of[representative[cls]] == cls
+        # The core numbers the distinct accept-matrix rows by smallest byte:
+        # the very same classes, in the very same order.
+        tables = subset_tables(compile_network(network))
+        assert tables.n_classes == n_classes
+        assert (tables.class_of_symbol == class_of).all()
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
@@ -117,7 +124,7 @@ class TestDeterminizeHelpers:
     @settings(max_examples=40, deadline=None)
     @given(seeds)
     def test_explorer_verdict_is_order_independent_of_determinize(self, seed):
-        """The BFS explorer and determinize's insertion-order walk must agree
+        """The BFS explorer and the oracle's depth-first walk must agree
         exactly: same safe/unsafe verdict at the same budget, and on safe
         networks the same subset-state count (DESIGN.md §12 soundness)."""
         rng = random.Random(seed)

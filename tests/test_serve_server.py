@@ -489,6 +489,33 @@ class TestStatsAndLifecycle:
         expected = scalar_run(compile_network(network), data)
         assert (got.reports == expected.reports).all()
 
+    def test_auto_backend_lands_dfa_unsafe_network_on_lazydfa(self):
+        from repro.sim.compiled import compile_network
+
+        # ``a`` then 13 wildcards: 2**13 reachable subsets, past the DFA
+        # budget, so the one compile_dfa attempt fails and auto falls
+        # through to the hybrid.
+        automaton = Automaton("blowup")
+        automaton.add_state(SymbolSet.from_symbols(b"a"), start=StartKind.ALL_INPUT)
+        for index in range(13):
+            automaton.add_state(SymbolSet.universal(), reporting=index == 12,
+                                report_code="blow" if index == 12 else None)
+            automaton.add_edge(index, index + 1)
+        unsafe = Network("blowup-net")
+        unsafe.add(automaton)
+
+        state = ServeState(backend="auto")
+        assert state.add_network("safe", _chain_network(b"ab")).backend == "dfa"
+        entry = state.add_network("unsafe", unsafe)
+        assert entry.backend == "lazydfa"
+        assert entry.dfa is None and entry.lazydfa is not None
+        assert state.timer.calls("compile_dfa") == 2
+        assert state.timer.calls("compile_lazydfa") == 1
+        data = b"xa" + b"y" * 20 + b"aa" + b"z" * 14
+        (got,) = entry.execute_batch([data])
+        expected = run(compile_network(unsafe), data)
+        assert (got.reports == expected.reports).all()
+
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="serve backend"):
             ServeState(backend="systolic")
