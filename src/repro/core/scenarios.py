@@ -19,6 +19,17 @@ the union network once produces exactly the union of per-batch report
 streams; we exploit that for the baseline and BaseAP phases (the *cycle*
 accounting still charges one full input pass per batch).  SpAP batches are
 simulated individually since jump/stall behaviour is batch-local.
+
+Where the reports come from: standalone, :func:`run_baseline_ap` streams
+the whole network and the two partitioned scenarios each stream the hot
+set, all on the bit-packed engine.  A caller that already holds those
+reports passes them in (``reports=`` / ``hot_reports=``) and no pass is
+made: the experiment pipeline (:class:`repro.experiments.pipeline.AppRun`)
+hands the baseline its ground-truth reports and gives both partitioned
+scenarios the one hot pass it made per operating point, both on the lazy
+DFA.  Reports are bit-identical across engines, so every cycle count is
+the same either way.  The event-driven cold phase (``run_events``) always
+runs here, on the bit-packed engine.
 """
 
 from __future__ import annotations
@@ -116,15 +127,27 @@ class PartitionedOutcome:
         return queue_usage(self.n_intermediate_reports, config)
 
 
-def run_baseline_ap(network: Network, input_data, config: APConfig) -> BaselineOutcome:
-    """Execute the unpartitioned application in batches (the paper's baseline)."""
+def run_baseline_ap(
+    network: Network,
+    input_data,
+    config: APConfig,
+    *,
+    reports: Optional[np.ndarray] = None,
+) -> BaselineOutcome:
+    """Execute the unpartitioned application in batches (the paper's baseline).
+
+    ``reports`` are the whole network's reports on ``input_data`` from a
+    pass the caller already made (any engine); without them the network
+    is streamed once here on the bit-packed engine.
+    """
     symbols = as_input_array(input_data)
     batches = batch_network(network, config.capacity)
-    result = run(compile_network(network), symbols, track_enabled=False)
+    if reports is None:
+        reports = run(compile_network(network), symbols, track_enabled=False).reports
     return BaselineOutcome(
         n_batches=len(batches),
         n_symbols=int(symbols.size),
-        reports=result.reports,
+        reports=reports,
     )
 
 
@@ -152,15 +175,23 @@ def prepare_partition(
 
 
 def _hot_phase(
-    partitioned: PartitionedNetwork, symbols: np.ndarray, hot_bins: Sequence[Sequence[int]]
+    partitioned: PartitionedNetwork,
+    symbols: np.ndarray,
+    hot_bins: Sequence[Sequence[int]],
+    reports: Optional[np.ndarray] = None,
 ):
     """Run BaseAP mode once; split reports into final vs intermediate events.
+
+    ``reports`` are the hot network's reports from a pass the caller
+    already made; without them the hot network is streamed here.
 
     Returns ``(base_cycles, final_reports_parent, events_cold, n_events)``
     where events are ``(position, cold_gid)`` enable events.
     """
-    hot_result = run(compile_network(partitioned.hot), symbols, track_enabled=False)
-    reports = hot_result.reports
+    if reports is None:
+        reports = run(
+            compile_network(partitioned.hot), symbols, track_enabled=False
+        ).reports
     if reports.size:
         intermediate = partitioned.hot_is_intermediate[reports[:, 1]]
         final = reports[~intermediate]
@@ -191,10 +222,18 @@ def run_base_spap(
     input_data,
     config: APConfig,
     hot_bins: Sequence[Sequence[int]],
+    *,
+    hot_reports: Optional[np.ndarray] = None,
 ) -> PartitionedOutcome:
-    """BaseAP mode on the hot set, then SpAP mode on the cold set (§V)."""
+    """BaseAP mode on the hot set, then SpAP mode on the cold set (§V).
+
+    ``hot_reports`` are the hot network's reports on ``input_data`` from a
+    pass the caller already made; without them the hot set is streamed here.
+    """
     symbols = as_input_array(input_data)
-    base_cycles, final_parent, events, n_events = _hot_phase(partitioned, symbols, hot_bins)
+    base_cycles, final_parent, events, n_events = _hot_phase(
+        partitioned, symbols, hot_bins, hot_reports
+    )
 
     all_reports = [final_parent]
     consumed = 0
@@ -244,10 +283,17 @@ def run_ap_cpu(
     config: APConfig,
     hot_bins: Sequence[Sequence[int]],
     cpu_model: CPUCostModel = DEFAULT_CPU_MODEL,
+    *,
+    hot_reports: Optional[np.ndarray] = None,
 ) -> PartitionedOutcome:
-    """BaseAP mode on the hot set; CPU software handler for the cold set."""
+    """BaseAP mode on the hot set; CPU software handler for the cold set.
+
+    ``hot_reports`` is as for :func:`run_base_spap`.
+    """
     symbols = as_input_array(input_data)
-    base_cycles, final_parent, events, n_events = _hot_phase(partitioned, symbols, hot_bins)
+    base_cycles, final_parent, events, n_events = _hot_phase(
+        partitioned, symbols, hot_bins, hot_reports
+    )
 
     all_reports = [final_parent]
     cpu_seconds = 0.0

@@ -18,10 +18,10 @@ Execution (DESIGN.md §14):
 * **Hit** — the current subset's cell for the input's symbol class exists
   and its successor link points at a live cached row: emit the
   pre-computed report tuple and follow the link.  Per-symbol work is a
-  list index, a tuple unpack, and an attribute check — DFA speed.
-* **Miss** — the cell is empty: perform one subset step (semantically
-  one :func:`repro.sim.engine.run` cycle), memoize the resulting cell, and
-  re-enter the cache at the successor subset.
+  dict lookup, a tuple unpack, and an attribute check — DFA speed.
+* **Miss** — the row has no cell for the class yet: perform one subset
+  step (semantically one :func:`repro.sim.engine.run` cycle), memoize the
+  resulting cell, and re-enter the cache at the successor subset.
 * **Eviction** — rows beyond ``capacity`` are dropped LRU-first; evicted
   rows are tombstoned (``live = False``) so stale successor links repair
   themselves through a cache lookup on next use.
@@ -34,11 +34,11 @@ Execution (DESIGN.md §14):
 
 Subset keys are Python big-ints (bit ``g`` = global state ``g``), the same
 encoding the budgeted explorer uses, so ``track_enabled`` recovery is an
-OR over the visited subset keys — each cached row *is* its own
-subset-construction witness.  Results are bit-identical to the reference
-engine (reports and ever-enabled), gated by the cross-engine equivalence
-suite including adversarial capacity-1/2 runs that force every fallback
-path.
+OR over the visited subset keys, taken as the run goes — each visited
+subset *is* its own subset-construction witness.  Results are
+bit-identical to the reference engine (reports and ever-enabled), gated
+by the cross-engine equivalence suite including adversarial capacity-1/2
+runs that force every fallback path.
 
 A compiled artifact is safe to share across threads: :func:`lazydfa_run`
 holds the artifact's lock for the duration of a run (the cache is shared
@@ -49,7 +49,7 @@ mutable state), serializing concurrent executor-side batches the way
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,19 +86,22 @@ _Cell = Tuple[int, Tuple[int, ...], Tuple[int, ...], Optional["_Row"]]
 
 
 class _Row:
-    """One cached subset state: its key and lazily-filled per-class cells.
+    """One cached subset state: its key and the per-class cells built so far.
 
+    ``cells`` maps a symbol class to its cell and holds only the classes
+    an input has exercised, so a row's size follows the work done on it,
+    not the class count (ER has 256 classes and builds a handful per row).
     ``live`` is the eviction tombstone — stale direct links from other
     rows' cells check it and repair through the cache.  Evicted rows drop
-    their ``cells`` list so the only retained state is the subset key a
-    repair lookup needs.
+    their ``cells`` so the only retained state is the subset key a repair
+    lookup needs.
     """
 
     __slots__ = ("mask", "cells", "live")
 
-    def __init__(self, mask: int, n_classes: int) -> None:
+    def __init__(self, mask: int) -> None:
         self.mask = mask
-        self.cells: Optional[List[Optional[_Cell]]] = [None] * n_classes
+        self.cells: Optional[Dict[int, _Cell]] = {}
         self.live = True
 
 
@@ -223,9 +226,10 @@ def lazydfa_run(
 
     Holds the artifact's lock for the whole run (the subset cache is
     shared mutable state; serve executes batches executor-side).  With
-    ``track_enabled`` the loop records each visited subset key and ORs
-    them afterwards — the cached rows double as subset witnesses, mirroring
-    the eager backend's ``subset_masks`` recovery.
+    ``track_enabled`` the loop ORs each visited subset key into the
+    ever-enabled mask as it goes — the subset keys double as subset
+    witnesses, mirroring the eager backend's ``subset_masks`` recovery —
+    so the witness costs one big-int, not one per distinct subset.
     """
     tables = compiled.tables
     step = tables.step
@@ -237,11 +241,10 @@ def lazydfa_run(
     )
     out: List[Tuple[int, int]] = []
     append = out.append
-    visited: Set[int] = set()
+    ever_int = 0
 
     with compiled._lock:
         cache = compiled._cache
-        n_classes = tables.n_classes
         capacity = compiled.capacity
         churn_limit = compiled.capacity * compiled.churn_factor
         caching = True
@@ -259,7 +262,7 @@ def lazydfa_run(
                 return found
             if not caching:
                 return None
-            made = _Row(mask, n_classes)
+            made = _Row(mask)
             cache[mask] = made
             inserts += 1
             if len(cache) > capacity:
@@ -277,12 +280,12 @@ def lazydfa_run(
         last = n - 1
         for position in range(n):
             if track_enabled:
-                visited.add(cur)
+                ever_int |= cur
             cls = classes[position]
             if row is not None:
                 cells = row.cells
                 assert cells is not None  # live rows always hold cells
-                cell = cells[cls]
+                cell = cells.get(cls)
                 if cell is None:
                     activated, nxt_mask = step(row.mask, cls)
                     fired_mid, fired_full = reports_of(activated)
@@ -327,14 +330,9 @@ def lazydfa_run(
         compiled.evictions += evictions
         compiled.fallback_steps += fallback
 
-    ever = np.zeros(tables.n_words, dtype=np.uint64)
-    if visited:
-        ever_int = 0
-        for mask in visited:
-            ever_int |= mask
-        ever = np.frombuffer(
-            ever_int.to_bytes(tables.n_words * 8, "little"), dtype=np.uint64
-        ).copy()
+    ever = np.frombuffer(
+        ever_int.to_bytes(tables.n_words * 8, "little"), dtype=np.uint64
+    ).copy()
     return SimResult(
         n_states=tables.n_states,
         n_symbols=n,

@@ -61,9 +61,11 @@ def collect_run_stats(
 
     # Table I prediction quality: the layer-closed predicted-hot mask from
     # the profiling run against the ground-truth hot mask on the test input.
+    # The stages it reads (truth here; profile and topology through the
+    # partition above) are resolved first, so this span encloses none.
+    truth_mask = run.truth.hot_mask()
     with run.stats.stage("prediction"):
         predicted = run.predicted_hot_mask(fraction)
-        truth_mask = run.truth.hot_mask()
         quality = prediction_quality(predicted, truth_mask)
     n_states = run.network.n_states
     predicted_fraction = float(predicted.sum()) / n_states if n_states else 0.0

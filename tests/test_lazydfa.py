@@ -183,6 +183,28 @@ class TestCacheDiscipline:
         assert after["inserts"] > 0 and after["hits"] >= 0
 
 
+class TestMemory:
+    def test_rows_hold_only_built_cells(self):
+        # One single-byte state per byte value: 256 symbol classes.  A row
+        # must hold the cells an input built, not one slot per class.
+        automaton = Automaton("bytes")
+        for value in range(256):
+            automaton.add_state(
+                SymbolSet.from_symbols(bytes([value])),
+                start=StartKind.ALL_INPUT,
+                reporting=value % 7 == 0,
+            )
+        network = Network("bytes-net")
+        network.add(automaton)
+        compiled = compile_lazydfa(network)
+        assert compiled.tables.n_classes == 256
+        rng = random.Random(41)
+        lazydfa_run(compiled, bytes(rng.randrange(256) for _ in range(500)))
+        stats = compiled.cache_stats()
+        held = sum(len(row.cells) for row in compiled._cache.values())
+        assert 0 < held <= stats["cell_builds"]
+
+
 class TestEngineMetadata:
     def test_registered_without_feasibility_gate(self):
         engine = ENGINES["lazydfa"]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from dataclasses import replace
 
 import pytest
@@ -254,6 +255,17 @@ class TestCollect:
         assert {"build", "compile", "truth", "profile",
                 "partition", "baseline", "base_spap", "ap_cpu"} <= names
         assert all(span.seconds >= 0 and span.calls >= 1 for span in bro_stats.stages)
+
+    def test_stage_spans_do_not_overlap(self):
+        """No stage encloses another: each resolves the stages it depends
+        on before opening its own timer, so the spans sum to at most the
+        wall time of the call."""
+        config = replace(default_config(), scale=48, input_len=4096)
+        run = AppRun(get_app("Bro217"), config)
+        began = time.perf_counter()
+        stats = collect_run_stats("Bro217", config, app_run=run)
+        wall = time.perf_counter() - began
+        assert sum(span.seconds for span in stats.stages) <= wall
 
     def test_render_is_readable(self, bro_stats):
         text = render_stats(bro_stats)
