@@ -9,9 +9,9 @@ Run directly, this module is the benchmark-trajectory harness::
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py          # write BENCH_engine.json
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py --check  # CI smoke assertion
 
-The harness measures MB/s for the engines (reference, bit-packed, matrix,
-multi-stream, table-driven DFA, and the bounded-subset lazy-DFA hybrid) on
-the standard workload — Snort at scale 64 is DFA-safe, so the same
+The harness measures MB/s for the engines (reference, bit-packed,
+table-driven DFA, and the bounded-subset lazy-DFA hybrid) and for the
+multi-stream lock-step batch kernel serving uses on the standard workload — Snort at scale 64 is DFA-safe, so the same
 workload carries the ``dfa`` measurement — plus a ``lazydfa_unsafe``
 section timing the hybrid against bitpacked on the DFA-*unsafe* registry
 apps (where no eager table exists), and records the *speedup ratios*
@@ -44,13 +44,11 @@ from repro.sim import (
     compile_network,
     dfa_run,
     lazydfa_run,
-    matrix_compile,
-    matrix_run,
     reference_run,
     reports_equal,
     run,
-    run_multi,
 )
+from repro.sim.multistream import run_multi
 from repro.sim.result import reports_to_array
 from repro.stats import SCHEMA_VERSION, StageTimer, validate_spans
 from repro.workloads.registry import get_app
@@ -80,12 +78,11 @@ UNSAFE_APPS = ("LV", "ER", "SPM", "Fermi", "Brill")
 #: merge (stale workload metadata, missing engine column) cannot validate.
 _WORKLOAD_KEYS = ("app", "scale", "input_len", "n_states", "k_streams",
                   "dfa_states", "dfa_classes", "dfa_table_bytes")
-_THROUGHPUT_KEYS = ("seed_scalar", "reference", "bitpacked", "matrix",
+_THROUGHPUT_KEYS = ("seed_scalar", "reference", "bitpacked",
                     "k_scalar_aggregate", "multistream_aggregate", "dfa",
                     "lazydfa")
-_SPEEDUP_KEYS = ("bitpacked_vs_seed", "matrix_vs_seed",
-                 "multistream_vs_k_scalar", "dfa_vs_bitpacked",
-                 "lazydfa_vs_bitpacked")
+_SPEEDUP_KEYS = ("bitpacked_vs_seed", "multistream_vs_k_scalar",
+                 "dfa_vs_bitpacked", "lazydfa_vs_bitpacked")
 _UNSAFE_APP_KEYS = ("app", "bitpacked_mb_s", "lazydfa_mb_s", "speedup")
 
 
@@ -248,15 +245,13 @@ def collect_metrics(repeats=3, timer=None):
         seed_result = _seed_run(compiled, data)
         fast_result = run(compiled, data, track_enabled=False)
         reference_result = reference_run(network, data)
-        matrix_result = matrix_run(matrix_compile(network), data)
         multi_results = run_multi(compiled, streams, track_enabled=False)
         dfa_result = dfa_run(dfa, data)
         lazy_result = lazydfa_run(lazy, data)
         identical = all(
             reports_equal(fast_result.reports, other)
             for other in [seed_result, reference_result.reports,
-                          matrix_result.reports, dfa_result.reports,
-                          lazy_result.reports]
+                          dfa_result.reports, lazy_result.reports]
             + [r.reports for r in multi_results]
         )
 
@@ -268,9 +263,6 @@ def collect_metrics(repeats=3, timer=None):
         )
     with timer.stage("measure_reference"):
         reference = _mb_per_s(lambda: reference_run(network, data), n, repeats=1)
-    with timer.stage("measure_matrix"):
-        mat = matrix_compile(network)
-        matrix = _mb_per_s(lambda: matrix_run(mat, data), n, repeats)
     with timer.stage("measure_k_scalar"):
         k_scalar = _mb_per_s(
             lambda: [run(compiled, s, track_enabled=False) for s in streams],
@@ -312,7 +304,6 @@ def collect_metrics(repeats=3, timer=None):
             "seed_scalar": round(seed, 3),
             "reference": round(reference, 3),
             "bitpacked": round(bitpacked, 3),
-            "matrix": round(matrix, 3),
             "k_scalar_aggregate": round(k_scalar, 3),
             "multistream_aggregate": round(multistream, 3),
             "dfa": round(dfa_mb_s, 3),
@@ -320,7 +311,6 @@ def collect_metrics(repeats=3, timer=None):
         },
         "speedup": {
             "bitpacked_vs_seed": round(bitpacked / seed, 3),
-            "matrix_vs_seed": round(matrix / seed, 3),
             "multistream_vs_k_scalar": round(multistream / k_scalar, 3),
             "dfa_vs_bitpacked": round(dfa_mb_s / bitpacked, 3),
             "lazydfa_vs_bitpacked": round(lazydfa_mb_s / bitpacked, 3),

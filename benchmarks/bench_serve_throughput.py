@@ -6,7 +6,10 @@ Run directly, this module is the benchmark harness for the match service::
     PYTHONPATH=src python benchmarks/bench_serve_throughput.py --check  # CI smoke assertion
 
 It starts an in-process :class:`repro.serve.MatchServer` on a unix socket
-and drives it with the closed-loop load generator twice:
+with the lock-step batch engine (``backend="multistream"``, named here
+rather than inherited from the server's default: ``auto`` runs the table
+engines, whose per-stream walks gain far less from coalescing) and drives
+it with the closed-loop load generator twice:
 
 * **concurrency 1** — one request in flight at a time.  The batcher's
   eager-when-idle policy dispatches each request alone, so this is the
@@ -68,7 +71,8 @@ async def _measure(repeats):
     with tempfile.TemporaryDirectory() as tmpdir:
         sock = str(Path(tmpdir) / "bench.sock")
         options = ServerOptions(unix_path=sock, window_ms=WINDOW_MS,
-                                max_batch=MAX_BATCH, workers=WORKERS)
+                                max_batch=MAX_BATCH, workers=WORKERS,
+                                backend="multistream")
         config = ExperimentConfig(scale=SCALE, input_len=PAYLOAD_BYTES)
         server = MatchServer(config, options, apps=[APP])
         await server.start()

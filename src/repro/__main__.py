@@ -32,7 +32,7 @@ Commands:
   witness masks against the unreduced ground truth (SPAP-R001).
 * ``serve --apps A,B [--port N|--unix PATH]`` — the long-running match
   service (``repro.serve``): framed requests in, micro-batched
-  multi-stream dispatches out.
+  dispatches on each app's advised engine out.
 * ``loadgen --apps A,B [--port N|--unix PATH]`` — drive a running server
   in open or closed loop, optionally sweeping concurrency, and report
   throughput plus p50/p95/p99 latency; ``--duration`` with ``--rate``
@@ -53,7 +53,7 @@ severity fires.
 fail-fast invariant checks (see ``repro.verify``).
 ``--backend NAME|auto`` on ``run-app``, ``sweep``, and ``serve`` selects
 the execution engine per DESIGN.md §13-§14.  ``auto`` follows the cost
-advisory with silent multistream fallback when the choice is infeasible;
+advisory with silent lazydfa fallback when the choice is infeasible;
 an explicit name fails loudly when infeasible unless ``--backend-fallback``
 opts into the substitution.
 ``--reduce`` on ``run-app``, ``sweep``, and ``serve`` routes execution
@@ -124,6 +124,18 @@ def _resolve_apps(names: Iterable[str]) -> Optional[List[str]]:
             return None
         resolved.append(canonical)
     return resolved
+
+
+def _targets(args) -> Optional[List[str]]:
+    """The applications a multi-app command runs on (``--all`` or the named
+    ones), or ``None`` after reporting a usage error (callers exit 2)."""
+    if args.all:
+        return app_names()
+    if args.apps:
+        return _resolve_apps(args.apps)
+    print(f"{args.command}: name at least one application or pass --all",
+          file=sys.stderr)
+    return None
 
 
 def _cmd_list_apps(_args) -> int:
@@ -266,17 +278,9 @@ def _cmd_stats(args) -> int:
 
     from .stats import collect_run_stats, render_stats, validate_stats
 
-    if args.all:
-        targets: Optional[List[str]] = app_names()
-    elif args.apps:
-        targets = _resolve_apps(args.apps)
-        if targets is None:
-            return 2
-    else:
-        print("stats: name at least one application or pass --all",
-              file=sys.stderr)
+    targets = _targets(args)
+    if targets is None:
         return 2
-
     config = _config_for(args)
     documents = []
     for abbr in targets:
@@ -293,78 +297,75 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    from .verify.app import verify_app
+def _run_analyzer(args, analyze, render, verdict: str) -> int:
+    """The command loop shared by ``verify``, ``semant``, ``cost`` and ``reduce``.
 
-    if args.all:
-        targets: Optional[List[str]] = app_names()
-    elif args.apps:
-        targets = _resolve_apps(args.apps)
-        if targets is None:
-            return 2
-    else:
-        print("verify: name at least one application or pass --all",
-              file=sys.stderr)
+    Runs ``analyze(abbr, config)`` on every target application and prints
+    ``render(outcome, verbose)`` per app (or one ``--json`` array), then a
+    ``k/n applications <verdict>`` footer for multi-app text runs.  Exits
+    2 on a usage error and 1 when any application has ERROR findings.
+    """
+    targets = _targets(args)
+    if targets is None:
         return 2
-
     config = default_config()
     failed = 0
     payload = []
     for abbr in targets:
-        report = verify_app(abbr, config, fraction=args.profile)
-        if args.json:
-            payload.append(report.to_json())
-        else:
-            if report.errors or (report.warnings and args.verbose):
-                print(report.render_text(verbose=args.verbose))
-            else:
-                print(report.summary())
-        failed += 0 if report.ok else 1
-    if args.json:
-        import json as _json
-
-        print(_json.dumps(payload, indent=2))
-    elif len(targets) > 1:
-        print(f"{len(targets) - failed}/{len(targets)} applications verified clean")
-    return 1 if failed else 0
-
-
-def _cmd_semant(args) -> int:
-    from .semant.app import semant_app
-
-    if args.all:
-        targets: Optional[List[str]] = app_names()
-    elif args.apps:
-        targets = _resolve_apps(args.apps)
-        if targets is None:
-            return 2
-    else:
-        print("semant: name at least one application or pass --all",
-              file=sys.stderr)
-        return 2
-
-    config = default_config()
-    failed = 0
-    payload = []
-    for abbr in targets:
-        outcome = semant_app(abbr, config,
-                             fraction=args.profile, horizon=args.horizon)
+        outcome = analyze(abbr, config)
         if args.json:
             payload.append(outcome.to_json())
         else:
-            print(outcome.summary.render())
-            report = outcome.report
-            if report.errors or (report.warnings and args.verbose):
-                print(report.render_text(verbose=args.verbose))
+            print(render(outcome, args.verbose))
         failed += 0 if outcome.ok else 1
     if args.json:
         import json as _json
 
         print(_json.dumps(payload, indent=2))
     elif len(targets) > 1:
-        print(f"{len(targets) - failed}/{len(targets)} applications "
-              "semantically sound")
+        print(f"{len(targets) - failed}/{len(targets)} applications {verdict}")
     return 1 if failed else 0
+
+
+def _findings(report, verbose: bool) -> Optional[str]:
+    """A diagnostics report's findings, when there are any worth printing."""
+    if report.errors or (report.warnings and verbose):
+        return report.render_text(verbose=verbose)
+    return None
+
+
+def _with_findings(headline: str, report, verbose: bool) -> str:
+    findings = _findings(report, verbose)
+    return headline if findings is None else f"{headline}\n{findings}"
+
+
+def _render_outcome(outcome, verbose: bool) -> str:
+    """An analyzer outcome's own rendering, then its findings if any."""
+    return _with_findings(outcome.render(), outcome.report, verbose)
+
+
+def _cmd_verify(args) -> int:
+    from .verify.app import verify_app
+
+    return _run_analyzer(
+        args,
+        lambda abbr, config: verify_app(abbr, config, fraction=args.profile),
+        lambda report, verbose: _findings(report, verbose) or report.summary(),
+        "verified clean",
+    )
+
+
+def _cmd_semant(args) -> int:
+    from .semant.app import semant_app
+
+    return _run_analyzer(
+        args,
+        lambda abbr, config: semant_app(abbr, config, fraction=args.profile,
+                                        horizon=args.horizon),
+        lambda outcome, verbose: _with_findings(
+            outcome.summary.render(), outcome.report, verbose),
+        "semantically sound",
+    )
 
 
 def _cmd_cost(args) -> int:
@@ -372,40 +373,13 @@ def _cmd_cost(args) -> int:
     from .cost.explore import DEFAULT_DFA_BUDGET
 
     budget = args.budget if args.budget is not None else DEFAULT_DFA_BUDGET
-
-    if args.all:
-        targets: Optional[List[str]] = app_names()
-    elif args.apps:
-        targets = _resolve_apps(args.apps)
-        if targets is None:
-            return 2
-    else:
-        print("cost: name at least one application or pass --all",
-              file=sys.stderr)
-        return 2
-
-    config = default_config()
-    failed = 0
-    payload = []
-    for abbr in targets:
-        outcome = cost_app(abbr, config, fraction=args.profile,
-                           budget=budget, check=args.check)
-        if args.json:
-            payload.append(outcome.to_json())
-        else:
-            print(outcome.render())
-            report = outcome.report
-            if report.errors or (report.warnings and args.verbose):
-                print(report.render_text(verbose=args.verbose))
-        failed += 0 if outcome.ok else 1
-    if args.json:
-        import json as _json
-
-        print(_json.dumps(payload, indent=2))
-    elif len(targets) > 1:
-        print(f"{len(targets) - failed}/{len(targets)} applications "
-              "cost-analyzed clean")
-    return 1 if failed else 0
+    return _run_analyzer(
+        args,
+        lambda abbr, config: cost_app(abbr, config, fraction=args.profile,
+                                      budget=budget, check=args.check),
+        _render_outcome,
+        "cost-analyzed clean",
+    )
 
 
 def _cmd_reduce(args) -> int:
@@ -414,40 +388,13 @@ def _cmd_reduce(args) -> int:
 
     budget = args.budget if args.budget is not None else DEFAULT_DFA_BUDGET
     mode = "aggressive" if args.aggressive else "exact"
-
-    if args.all:
-        targets: Optional[List[str]] = app_names()
-    elif args.apps:
-        targets = _resolve_apps(args.apps)
-        if targets is None:
-            return 2
-    else:
-        print("reduce: name at least one application or pass --all",
-              file=sys.stderr)
-        return 2
-
-    config = default_config()
-    failed = 0
-    payload = []
-    for abbr in targets:
-        outcome = reduce_app(abbr, config, mode=mode,
-                             budget=budget, check=args.check)
-        if args.json:
-            payload.append(outcome.to_json())
-        else:
-            print(outcome.render())
-            report = outcome.report
-            if report.errors or (report.warnings and args.verbose):
-                print(report.render_text(verbose=args.verbose))
-        failed += 0 if outcome.ok else 1
-    if args.json:
-        import json as _json
-
-        print(_json.dumps(payload, indent=2))
-    elif len(targets) > 1:
-        print(f"{len(targets) - failed}/{len(targets)} applications "
-              "reduced sound")
-    return 1 if failed else 0
+    return _run_analyzer(
+        args,
+        lambda abbr, config: reduce_app(abbr, config, mode=mode,
+                                        budget=budget, check=args.check),
+        _render_outcome,
+        "reduced sound",
+    )
 
 
 def _cmd_serve(args) -> int:
@@ -620,6 +567,24 @@ def _cmd_grid(args) -> int:
     return 0
 
 
+def _add_analyzer_parser(sub, name: str, verb: str, help_text: str, *,
+                         profile_help: Optional[str] = None):
+    """One static-analyzer subcommand with the arguments all four share."""
+    parser = sub.add_parser(name, help=help_text)
+    parser.add_argument("apps", nargs="*",
+                        help="application abbreviations (see list-apps)")
+    parser.add_argument("--all", action="store_true",
+                        help=f"{verb} every registry application")
+    parser.add_argument("--json", action="store_true",
+                        help="emit a JSON report instead of text")
+    parser.add_argument("--verbose", action="store_true",
+                        help="print warnings and fix hints, not just errors")
+    if profile_help is not None:
+        parser.add_argument("--profile", type=float, default=None,
+                            help=profile_help)
+    return parser
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -638,7 +603,7 @@ def main(argv: Optional[list] = None) -> int:
                                  "explicit name forces it and fails if "
                                  "infeasible (see --backend-fallback)")
     run_parser.add_argument("--backend-fallback", action="store_true",
-                            help="accept multistream substitution when an "
+                            help="accept lazydfa substitution when an "
                                  "explicitly requested backend is infeasible "
                                  "instead of failing")
     run_parser.add_argument("--reduce", action="store_true",
@@ -679,7 +644,7 @@ def main(argv: Optional[list] = None) -> int:
                                    "explicit name fails loudly on apps where "
                                    "it is infeasible (see --backend-fallback)")
     sweep_parser.add_argument("--backend-fallback", action="store_true",
-                              help="accept multistream substitution on apps "
+                              help="accept lazydfa substitution on apps "
                                    "where an explicitly requested backend is "
                                    "infeasible instead of failing their rows")
     sweep_parser.add_argument("--reduce", action="store_true",
@@ -703,57 +668,30 @@ def main(argv: Optional[list] = None) -> int:
     stats_parser.add_argument("--no-verify", action="store_true",
                               help="skip fail-fast partition/batch verification")
 
-    verify_parser = sub.add_parser(
-        "verify",
-        help="statically verify applications (networks, partitions, batch plans)",
+    _add_analyzer_parser(
+        sub, "verify", "verify",
+        "statically verify applications (networks, partitions, batch plans)",
+        profile_help="profiling fraction for the partition pass",
     )
-    verify_parser.add_argument("apps", nargs="*",
-                               help="application abbreviations (see list-apps)")
-    verify_parser.add_argument("--all", action="store_true",
-                               help="verify every registry application")
-    verify_parser.add_argument("--json", action="store_true",
-                               help="emit a JSON report instead of text")
-    verify_parser.add_argument("--verbose", action="store_true",
-                               help="print warnings and fix hints, not just errors")
-    verify_parser.add_argument("--profile", type=float, default=None,
-                               help="profiling fraction for the partition pass")
 
-    semant_parser = sub.add_parser(
-        "semant",
-        help="semantic static analysis: dead-state proofs, profile-free "
-             "prediction, differential SPAP-S checks (repro.semant)",
+    semant_parser = _add_analyzer_parser(
+        sub, "semant", "analyze",
+        "semantic static analysis: dead-state proofs, profile-free "
+        "prediction, differential SPAP-S checks (repro.semant)",
+        profile_help="profiling fraction for the differential comparison "
+                     "(default 0.01)",
     )
-    semant_parser.add_argument("apps", nargs="*",
-                               help="application abbreviations (see list-apps)")
-    semant_parser.add_argument("--all", action="store_true",
-                               help="analyze every registry application")
-    semant_parser.add_argument("--json", action="store_true",
-                               help="emit a JSON report instead of text")
-    semant_parser.add_argument("--verbose", action="store_true",
-                               help="print warnings and fix hints, not just errors")
-    semant_parser.add_argument("--profile", type=float, default=None,
-                               help="profiling fraction for the differential "
-                                    "comparison (default 0.01)")
     semant_parser.add_argument("--horizon", type=int, default=None,
                                help="enabling-opportunity horizon for the "
                                     "static predictor (default: input length)")
 
-    cost_parser = sub.add_parser(
-        "cost",
-        help="compilability/cost analysis: DFA-safety proofs, symbol-class "
-             "compression, backend advisories (repro.cost)",
+    cost_parser = _add_analyzer_parser(
+        sub, "cost", "analyze",
+        "compilability/cost analysis: DFA-safety proofs, symbol-class "
+        "compression, backend advisories (repro.cost)",
+        profile_help="partitioning fraction (default: the standard 1%% "
+                     "operating point)",
     )
-    cost_parser.add_argument("apps", nargs="*",
-                             help="application abbreviations (see list-apps)")
-    cost_parser.add_argument("--all", action="store_true",
-                             help="analyze every registry application")
-    cost_parser.add_argument("--json", action="store_true",
-                             help="emit a JSON report instead of text")
-    cost_parser.add_argument("--verbose", action="store_true",
-                             help="print warnings and fix hints, not just errors")
-    cost_parser.add_argument("--profile", type=float, default=None,
-                             help="partitioning fraction (default: the "
-                                  "standard 1%% operating point)")
     cost_parser.add_argument("--budget", type=int, default=None,
                              help="subset-construction state budget "
                                   "(default 4096)")
@@ -762,19 +700,11 @@ def main(argv: Optional[list] = None) -> int:
                                   "it against reference simulation "
                                   "(the SPAP-C001 differential)")
 
-    reduce_parser = sub.add_parser(
-        "reduce",
-        help="equivalence-preserving reduction: bisimulation merges, "
-             "dead-state strips, cost re-pricing (repro.reduce)",
+    reduce_parser = _add_analyzer_parser(
+        sub, "reduce", "reduce",
+        "equivalence-preserving reduction: bisimulation merges, "
+        "dead-state strips, cost re-pricing (repro.reduce)",
     )
-    reduce_parser.add_argument("apps", nargs="*",
-                               help="application abbreviations (see list-apps)")
-    reduce_parser.add_argument("--all", action="store_true",
-                               help="reduce every registry application")
-    reduce_parser.add_argument("--json", action="store_true",
-                               help="emit a JSON report instead of text")
-    reduce_parser.add_argument("--verbose", action="store_true",
-                               help="print warnings and fix hints, not just errors")
     reduce_parser.add_argument("--aggressive", action="store_true",
                                help="also apply the report-exact (witness-"
                                     "lossy) rules: never-reporting strips "
@@ -812,10 +742,10 @@ def main(argv: Optional[list] = None) -> int:
                               help="compiled networks kept resident (LRU)")
     serve_parser.add_argument("--backend", default="multistream",
                               choices=["multistream", "dfa", "lazydfa", "auto"],
-                              help="batch engine: multistream (default), "
-                                   "dfa (where feasible), lazydfa (the "
-                                   "bounded-subset hybrid), or auto "
-                                   "(per-app cost advisory)")
+                              help="batch engine: multistream (default; "
+                                   "lock-step batching), dfa (where "
+                                   "feasible), lazydfa (the bounded-subset "
+                                   "hybrid), or auto (per-app cost advisory)")
     serve_parser.add_argument("--reduce", action="store_true",
                               help="serve the SPAP-R-reduced networks "
                                    "(reports lifted to original state ids)")
@@ -896,7 +826,7 @@ def main(argv: Optional[list] = None) -> int:
     grid_parser.add_argument("--threads", type=int, default=2,
                              help="engine executor threads per worker")
     grid_parser.add_argument("--backend", default="auto",
-                             choices=["multistream", "dfa", "lazydfa", "auto"],
+                             choices=["dfa", "lazydfa", "auto"],
                              help="store compilation engine: auto (default) "
                                   "follows each app's cost advisory")
     grid_parser.add_argument("--spill-threshold", type=int, default=32,

@@ -74,7 +74,6 @@ class BackendAdvisory:
     mean_fanout: float
     costs: Dict[str, Optional[float]]  # backend -> predicted us/symbol
     recommended: str  # cheapest feasible backend
-    recommended_single: str  # cheapest among single-stream backends
     margin: float  # runner-up cost / winner cost (1.0 when unopposed)
 
     @property
@@ -103,7 +102,6 @@ class BackendAdvisory:
             "mean_fanout": self.mean_fanout,
             "costs_us_per_symbol": dict(self.costs),
             "recommended": self.recommended,
-            "recommended_single": self.recommended_single,
             "margin": self.margin,
         }
 
@@ -147,7 +145,6 @@ def advise_network(
     event_driven: bool = False,
     horizon: int = 4096,
     model: CostModel = DEFAULT_COST_MODEL,
-    n_streams: int = 8,
 ) -> BackendAdvisory:
     """Fuse the three static analyses into one advisory for ``network``."""
     class_analysis = analyze_symbol_classes(network)
@@ -162,7 +159,6 @@ def advise_network(
         event_driven=event_driven,
         dfa_safe=exploration.dfa_safe,
         dfa_states=exploration.n_subset_states if exploration.dfa_safe else None,
-        n_streams=n_streams,
     )
     costs = model.predict(features)
     ranked = rank_backends(costs)
@@ -170,8 +166,6 @@ def advise_network(
         raise ValueError("cost model declared every backend infeasible")
     recommended = ranked[0][0]
     margin = (ranked[1][1] / ranked[0][1]) if len(ranked) > 1 and ranked[0][1] > 0 else 1.0
-    single = [pair for pair in ranked if pair[0] != "multistream"]
-    recommended_single = single[0][0] if single else recommended
     return BackendAdvisory(
         partition=partition,
         n_states=network.n_states,
@@ -182,7 +176,6 @@ def advise_network(
         mean_fanout=features.mean_fanout,
         costs=costs,
         recommended=recommended,
-        recommended_single=recommended_single,
         margin=margin,
     )
 

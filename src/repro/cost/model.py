@@ -15,24 +15,22 @@ will make selectable per partition):
 * ``bitpacked`` — the word-parallel engine: cost tracks the packed vector
   width ``n_words`` plus a fixed per-cycle overhead, independent of
   activity.
-* ``multistream`` — K-wide lock-step bitpacked execution: the per-cycle
-  overhead amortizes over K streams; a *throughput* backend, feasible only
-  for streaming (not event-driven) partitions.
 * ``dfa`` — table-driven DFA dispatch: one lookup per symbol, independent
   of both width and activity, feasible only when subset construction was
   proven bounded and the table fits the memory budget.
 * ``lazydfa`` — the bounded-subset lazy-DFA hybrid: cached-subset lookups
   at close-to-``dfa`` speed, an LRU cap instead of a safety proof, so it
-  is feasible for every streaming partition.  Cost is ``lz_base`` when the
-  partition is DFA-safe (the cache converges to the full table) and
+  is feasible for every streaming partition (and is where infeasible
+  selections fall back).  Cost is ``lz_base`` when the partition is
+  DFA-safe (the cache converges to the full table) and
   ``lz_base * lz_unsafe_factor`` otherwise — the factor is a measured
   average of the cache-churn slowdown on the proven-unsafe bench apps.
 
 Calibration (DESIGN.md §12): the default coefficients are solved from the
 committed ``BENCH_engine.json`` operating point — Snort at scale 64,
-1081 states (17 words), K=8 — whose measured throughputs are
-0.061 / 0.204 / 0.371 / 12.76 MB/s for reference / bitpacked /
-multistream / dfa (16.4 / 4.90 / 2.70 / 0.078 us per symbol).
+1081 states (17 words) — whose measured throughputs are
+0.045 / 0.168 / 14.48 / 10.11 MB/s for reference / bitpacked / dfa /
+lazydfa (22.2 / 5.95 / 0.069 / 0.099 us per symbol).
 :meth:`CostModel.from_engine_bench` re-derives them from any such
 document, so re-benching recalibrates the model without touching code —
 including ``dfa_base``, measured from the table-driven backend itself
@@ -64,13 +62,12 @@ __all__ = [
 BACKENDS: Tuple[str, ...] = (
     "reference",
     "bitpacked",
-    "multistream",
     "dfa",
     "lazydfa",
 )
 
 #: Backends that consume one contiguous symbol stream (no enable events).
-STREAMING_BACKENDS: Tuple[str, ...] = ("multistream", "dfa", "lazydfa")
+STREAMING_BACKENDS: Tuple[str, ...] = ("dfa", "lazydfa")
 
 
 def dfa_entry_bytes(n_dfa_states: int) -> int:
@@ -107,7 +104,6 @@ class CostFeatures:
     event_driven: bool  # cold partition: enabled by SpAP events, not a stream
     dfa_safe: bool  # subset construction proven bounded (repro.cost.explore)
     dfa_states: Optional[int]  # subset-state count when safe
-    n_streams: int = 8  # lock-step width the multistream backend would run
 
     @property
     def dfa_table_bytes(self) -> Optional[int]:
@@ -146,7 +142,6 @@ class CostModel:
     ref_per_active: float  # reference: per active state per cycle
     bp_base: float  # bitpacked: fixed per-cycle dispatch
     bp_per_word: float  # bitpacked: per packed word per cycle
-    ms_per_word: float  # multistream: per packed word per aggregate symbol
     dfa_base: float  # dfa: one table lookup + report probe per symbol
     lz_base: float = 0.3  # lazydfa: one cached-cell chase per symbol
     lz_unsafe_factor: float = 4.0  # lazydfa: churn multiplier when unsafe
@@ -157,15 +152,10 @@ class CostModel:
         costs: Dict[str, Optional[float]] = {
             "reference": self.ref_base + self.ref_per_active * active,
             "bitpacked": self.bp_base + self.bp_per_word * features.n_words,
-            "multistream": None,
             "dfa": None,
             "lazydfa": None,
         }
         if not features.event_driven:
-            k = max(1, features.n_streams)
-            costs["multistream"] = (
-                self.bp_base / k + self.ms_per_word * features.n_words
-            )
             table_bytes = features.dfa_table_bytes_actual
             if (
                 features.dfa_safe
@@ -194,7 +184,7 @@ class CostModel:
     ) -> "CostModel":
         """Solve coefficients from a ``BENCH_engine.json``-shaped document.
 
-        Uses the document's workload shape (states, k_streams) and measured
+        Uses the document's workload shape (states) and measured
         MB/s, under the documented word-work-share assumption.  ``dfa_base``
         is taken from the document's measured ``throughput_mb_s["dfa"]``
         when present (the harness times the real table-driven backend on
@@ -207,7 +197,6 @@ class CostModel:
         if not isinstance(workload, Mapping) or not isinstance(throughput, Mapping):
             raise ValueError("engine bench document missing workload/throughput_mb_s")
         n_states = int(workload["n_states"])  # type: ignore[call-overload]
-        k_streams = int(workload["k_streams"])  # type: ignore[call-overload]
         n_words = (n_states + 63) // 64
 
         def us_per_symbol(mb_s: object) -> float:
@@ -215,7 +204,6 @@ class CostModel:
 
         ref_us = us_per_symbol(throughput["reference"])
         bp_us = us_per_symbol(throughput["bitpacked"])
-        ms_us = us_per_symbol(throughput["multistream_aggregate"])
         if dfa_base is None:
             measured_dfa = throughput.get("dfa")
             dfa_base = us_per_symbol(measured_dfa) if measured_dfa else 0.7
@@ -242,7 +230,6 @@ class CostModel:
 
         bp_per_word = bp_us * _WORD_WORK_SHARE / n_words
         bp_base = bp_us - bp_per_word * n_words
-        ms_per_word = max(0.0, (ms_us - bp_base / k_streams) / n_words)
         ref_base = ref_us * _REF_BASE_SHARE
         active = max(1.0, active_fraction * n_states)
         ref_per_active = (ref_us - ref_base) / active
@@ -251,7 +238,6 @@ class CostModel:
             ref_per_active=ref_per_active,
             bp_base=bp_base,
             bp_per_word=bp_per_word,
-            ms_per_word=ms_per_word,
             dfa_base=dfa_base,
             lz_base=lz_base,
             lz_unsafe_factor=lz_unsafe_factor,
@@ -259,7 +245,7 @@ class CostModel:
 
 
 #: Coefficients solved by :meth:`CostModel.from_engine_bench` from the
-#: committed BENCH_engine.json (Snort, scale 64, 1081 states, K=8); baked
+#: committed BENCH_engine.json (Snort, scale 64, 1081 states); baked
 #: as literals so importing the model never reads the filesystem.
 #: ``dfa_base`` is now a *measurement* (1 / the dfa engine's MB/s on the
 #: same workload), not the pre-backend placeholder.
@@ -268,7 +254,6 @@ DEFAULT_COST_MODEL = CostModel(
     ref_per_active=0.185,
     bp_base=3.869,
     bp_per_word=0.1225,
-    ms_per_word=0.1116,
     dfa_base=0.0691,
     lz_base=0.099,
     lz_unsafe_factor=4.2399,

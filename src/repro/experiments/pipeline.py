@@ -151,7 +151,7 @@ class AppRun:
         Raises :class:`~repro.sim.dfa.DfaInfeasibleError` when the network
         is not DFA-safe — callers should route selection through
         :meth:`select_backend`, which checks feasibility first and falls
-        back to multistream instead of raising.
+        back to the lazy hybrid instead of raising.
         """
         if self._dfa is None:
             with self._lock:
@@ -397,7 +397,7 @@ class AppRun:
         ``None``/``"auto"`` consults the cost advisory
         (:meth:`backend_advisory`); an explicit name skips the advisory
         entirely.  Either way the choice is feasibility-checked against
-        the concrete network: ``auto`` requests fall back to multistream
+        the concrete network: ``auto`` requests fall back to ``lazydfa``
         silently, explicit ones raise
         :class:`~repro.sim.BackendInfeasibleError` unless
         ``allow_fallback=True`` opts into substitution, so the returned

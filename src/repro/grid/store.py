@@ -33,6 +33,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..experiments.config import ExperimentConfig, default_config
 from ..nfa.automaton import Network
+from ..sim import FALLBACK_BACKEND
 from ..sim.compiled import CompiledNetwork
 from ..sim.dfa import CompiledDFA
 from ..sim.lazydfa import CompiledLazyDfa
@@ -75,7 +76,7 @@ class StoredApp:
     compiled: CompiledNetwork
     dfa: Optional[CompiledDFA] = None
     lazydfa: Optional[CompiledLazyDfa] = None
-    advised: str = "multistream"
+    advised: str = FALLBACK_BACKEND
 
 
 @dataclass

@@ -59,8 +59,9 @@ class ServerOptions:
     max_apps: int = 8
     warmup: bool = True
     allow_shutdown: bool = True
-    #: Batch engine: "multistream" (default), "dfa" (forced where feasible),
-    #: or "auto" (per-app cost advisory) — DESIGN.md §13.
+    #: Batch engine: "multistream" (default: lock-step batching), "dfa" or
+    #: "lazydfa" (forced, with lazydfa as the fallback), or "auto" (per-app
+    #: cost advisory) — DESIGN.md §13.
     backend: str = "multistream"
     #: Serve SPAP-R-reduced networks (DESIGN.md §15); replies carry
     #: original state ids via the reduction's lifting table.

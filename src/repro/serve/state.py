@@ -13,7 +13,7 @@ substrate.  On top of that cache this module adds what serving needs:
   a per-application lock, so the event loop never blocks on a build and
   concurrent first requests compile once;
 * **warmup**: pre-compiling the served apps and pushing a tiny batch
-  through :func:`run_multi` at startup, so the first real request does not
+  through each one's engine at startup, so the first real request does not
   pay NumPy's first-dispatch costs.
 
 Entries can also be injected directly (:meth:`ServeState.add_network`) to
@@ -48,11 +48,12 @@ class AppEntry:
     """One resident application: its compiled artifacts and request counter.
 
     ``backend`` names the engine batches execute on (DESIGN.md §13):
-    ``multistream`` (the default lock-step bit matrix), ``dfa`` (the
-    table-driven executor, when the network was proven DFA-safe and the
-    server opted in), or ``lazydfa`` (the bounded-subset hybrid,
-    DESIGN.md §14 — no proof required).  The batcher dispatches through
-    :meth:`execute_batch` so it never hard-codes an engine.
+    ``multistream`` (the default lock-step bit matrix: one
+    ``(K, n_words)`` pass per coalesced batch), ``dfa`` (the table-driven
+    executor, when the network was proven DFA-safe and the server opted
+    in), or ``lazydfa`` (the bounded-subset hybrid, DESIGN.md §14 — no
+    proof required).  The batcher dispatches through :meth:`execute_batch`
+    so it never hard-codes an engine.
     """
 
     name: str
@@ -77,11 +78,13 @@ class AppEntry:
         itself on the artifact's internal lock, so concurrent executor
         workers are safe.
         """
-        if self.backend == "dfa" and self.dfa is not None:
+        if self.backend == "dfa":
+            assert self.dfa is not None, f"{self.name}: dfa entry without a table"
             results = [dfa_run(self.dfa, stream) for stream in streams]
-        elif self.backend == "lazydfa" and self.lazydfa is not None:
+        elif self.backend == "lazydfa":
+            assert self.lazydfa is not None, f"{self.name}: lazydfa entry without a cache"
             results = [lazydfa_run(self.lazydfa, stream) for stream in streams]
-        else:
+        else:  # multistream: the bit-packed network, K streams in lock-step
             results = run_multi(self.compiled, streams)
         if self.reduction is not None:
             lift = self.reduction.lift_result  # type: ignore[attr-defined]
@@ -98,7 +101,8 @@ class ServeState:
                  timer: Optional[StageTimer] = None) -> None:
         if backend not in ("multistream", "dfa", "lazydfa", "auto"):
             # Serving batches streams, so only streaming engines apply:
-            # forced multistream/dfa/lazydfa, or advisory-driven auto.
+            # advisory-driven auto, forced dfa/lazydfa, or lock-step
+            # multistream batching.
             raise ValueError(
                 f"serve backend must be multistream, dfa, lazydfa, or auto; "
                 f"got {backend!r}"
@@ -148,12 +152,12 @@ class ServeState:
         """Inject a hand-built network under ``name`` (embedding/test API).
 
         Injected networks have no registry pipeline (hence no cost
-        advisory), so a non-multistream server backend selects on
-        feasibility alone: ``dfa``/``auto`` take the table engine when
-        :func:`compile_dfa` succeeds (a successful build is the proof),
-        ``lazydfa`` (or ``auto`` on an unsafe network) takes the hybrid.
-        Under ``reduce=True`` the injected network is reduced exactly like
-        a registry one.
+        advisory), so selection runs on feasibility alone: ``dfa``/``auto``
+        take the table engine when :func:`compile_dfa` succeeds (a
+        successful build is the proof); otherwise — and for ``lazydfa`` —
+        the entry lands on the hybrid, the same fallback the registry path
+        takes.  Under ``reduce=True`` the injected network is reduced
+        exactly like a registry one.
         """
         reduction = None
         if self.reduce:
@@ -171,8 +175,8 @@ class ServeState:
                     entry.dfa = compile_dfa(network)
                 entry.backend = "dfa"
             except DfaInfeasibleError:
-                pass  # not DFA-safe: auto falls through to the hybrid
-        if entry.dfa is None and self.backend in ("lazydfa", "auto"):
+                pass  # not DFA-safe: falls through to the hybrid
+        if entry.dfa is None and self.backend != "multistream":
             with self.timer.stage("compile_lazydfa"):
                 entry.lazydfa = compile_lazydfa(network)
             entry.backend = "lazydfa"
@@ -214,9 +218,8 @@ class ServeState:
         recommendation, an explicit ``dfa``/``lazydfa`` forces that engine
         — both feasibility-checked.  Serving's documented contract is
         availability over strictness, so selection runs with
-        ``allow_fallback=True``: an infeasible forced engine lands back on
-        multistream, serving's lock-step default, instead of failing the
-        request.
+        ``allow_fallback=True``: an infeasible forced engine lands on the
+        lazy hybrid instead of failing the request.
         """
         from ..experiments.pipeline import get_run
         from ..experiments.sweep import DEFAULT_PROFILE_FRACTION
@@ -224,7 +227,7 @@ class ServeState:
         run = get_run(canonical, self.config)
         reduction = run.reduced if self.reduce else None
         with self.timer.stage("compile_app"):
-            compiled = (run.reduced_prepared_for("multistream") if self.reduce
+            compiled = (run.reduced_prepared_for("bitpacked") if self.reduce
                         else run.compiled)
         entry = AppEntry(name=canonical, compiled=compiled,
                          reduction=reduction)
@@ -284,8 +287,8 @@ class ServeState:
     def warmup(self, names: Optional[List[str]] = None,
                batch_size: int = 4) -> List[str]:
         """Compile ``names`` (default: the allowed list) and push one tiny
-        batch through the multi-stream engine, so the first real request
-        hits warmed dispatch paths.  Returns the warmed canonical names."""
+        batch through each entry's engine, so the first real request hits
+        warmed dispatch paths.  Returns the warmed canonical names."""
         targets = names if names is not None else (self.allowed or [])
         warmed = []
         for name in targets:

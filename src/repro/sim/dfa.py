@@ -2,12 +2,12 @@
 
 The NFA engines pay per-cycle costs proportional to either the active-state
 count (:mod:`repro.sim.reference`) or the packed vector width
-(:func:`repro.sim.engine.run`, :func:`repro.sim.multistream.run_multi`).
-For partitions the budgeted explorer (:mod:`repro.cost.explore`) proves
-DFA-safe, neither cost is necessary: subset construction collapses every
-enabled set into a single integer state, and execution becomes one dense
-table lookup per symbol — the CPU-DFA regime of the paper's §VIII related
-work, with CAMA-style symbol-class column compression.
+(:func:`repro.sim.engine.run`).  For partitions the budgeted explorer
+(:mod:`repro.cost.explore`) proves DFA-safe, neither cost is necessary:
+subset construction collapses every enabled set into a single integer
+state, and execution becomes one dense table lookup per symbol — the
+CPU-DFA regime of the paper's §VIII related work, with CAMA-style
+symbol-class column compression.
 
 :func:`compile_dfa` runs the shared subset-construction core
 (:func:`repro.sim.subset.construct` with ``rows=True``) and packs its rows

@@ -26,7 +26,7 @@ Two entry points:
   *and* a list of (position, state) enable events, with jump-over-idle-input
   and enable-stall accounting (SpAP mode, also reused by the AP–CPU handler).
 
-Multi-stream lock-step execution lives in :mod:`repro.sim.multistream`.
+Lock-step execution of several streams at once is a separate batch kernel.
 """
 
 from __future__ import annotations

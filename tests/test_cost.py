@@ -166,8 +166,10 @@ class TestCostModel:
         assert solved.bp_per_word == pytest.approx(
             DEFAULT_COST_MODEL.bp_per_word, rel=1e-2
         )
-        assert solved.ms_per_word == pytest.approx(
-            DEFAULT_COST_MODEL.ms_per_word, rel=1e-2
+        assert solved.dfa_base == pytest.approx(DEFAULT_COST_MODEL.dfa_base, rel=1e-2)
+        assert solved.lz_base == pytest.approx(DEFAULT_COST_MODEL.lz_base, rel=1e-2)
+        assert solved.lz_unsafe_factor == pytest.approx(
+            DEFAULT_COST_MODEL.lz_unsafe_factor, rel=1e-2
         )
 
     def test_calibration_point_is_recovered(self):
@@ -190,9 +192,6 @@ class TestCostModel:
         throughput = document["throughput_mb_s"]
         assert costs["reference"] == pytest.approx(1 / throughput["reference"], rel=0.02)
         assert costs["bitpacked"] == pytest.approx(1 / throughput["bitpacked"], rel=0.02)
-        assert costs["multistream"] == pytest.approx(
-            1 / throughput["multistream_aggregate"], rel=0.02
-        )
 
     def _features(self, **overrides):
         base = dict(
@@ -204,7 +203,7 @@ class TestCostModel:
 
     def test_event_driven_disables_streaming_backends(self):
         costs = DEFAULT_COST_MODEL.predict(self._features(event_driven=True))
-        assert costs["multistream"] is None and costs["dfa"] is None
+        assert costs["dfa"] is None and costs["lazydfa"] is None
         assert costs["reference"] is not None and costs["bitpacked"] is not None
 
     def test_dfa_requires_proof_and_table_fit(self):
@@ -226,7 +225,7 @@ class TestCostModel:
 
     def test_rank_backends_orders_and_breaks_ties_canonically(self):
         ranked = rank_backends(
-            {"reference": 2.0, "bitpacked": 1.0, "multistream": None, "dfa": 1.0}
+            {"reference": 2.0, "bitpacked": 1.0, "dfa": 1.0, "lazydfa": None}
         )
         assert [name for name, _cost in ranked] == ["bitpacked", "dfa", "reference"]
 
@@ -306,8 +305,8 @@ class TestCostApp:
         outcome = cost_app("HM", _CONFIG)
         cold = outcome.cost.advisory("cold")
         if cold is not None:  # empty cold partitions are skipped
-            assert cold.costs["multistream"] is None
             assert cold.costs["dfa"] is None
+            assert cold.costs["lazydfa"] is None
 
     def test_unknown_app_raises(self):
         with pytest.raises(KeyError):

@@ -280,6 +280,13 @@ class TestEngineRegistry:
 
     def test_registry_keys_are_canonical(self):
         assert tuple(ENGINES) == BACKENDS
+        assert set(ENGINES) == {"reference", "bitpacked", "dfa", "lazydfa"}
+
+    def test_fallback_needs_no_proof(self):
+        # Infeasible selections land on the one streaming engine that is
+        # feasible for every network, so the fallback itself never fails.
+        assert FALLBACK_BACKEND == "lazydfa"
+        assert ENGINES[FALLBACK_BACKEND].feasible(_blowup_network())
 
     def test_streaming_flags_match_cost_model(self):
         for name, engine in ENGINES.items():
@@ -368,7 +375,7 @@ class TestRegistryApps:
 
     def test_auto_selects_lazydfa_on_dfa_unsafe_app(self):
         # Acceptance pin: on a DFA-unsafe streaming app the calibrated
-        # cost model must rank the hybrid ahead of multistream, and
+        # cost model must rank the hybrid ahead of bitpacked, and
         # --backend auto must follow that ranking (DESIGN.md §14).
         app_run = get_run("LV", _CONFIG)
         assert not dfa_feasible(app_run.network)

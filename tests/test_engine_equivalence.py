@@ -1,23 +1,22 @@
 """Cross-engine equivalence: all engines report bit-identically.
 
 The execution paths — the pure-Python reference, the bit-packed scalar
-engine, the boolean-matrix engine, the multi-stream lock-step engine, the
-table-driven DFA engine, and the bounded-subset lazy-DFA hybrid —
-implement the same homogeneous-NFA semantics through completely different
-datapaths.  These property tests pin them to each other on random
-networks (cyclic, eod reporters, multiple automata) and random inputs,
-including both internal dispatch paths of the multi-stream engine and the
-hybrid under adversarially tiny LRU caps (capacity 1 and 2, where every
-transition evicts and the fallback path carries the run); the ``dfa`` arm
-additionally sweeps every DFA-safe registry application at the standard
-bench scale.  Degenerate inputs — empty and single-symbol — get explicit
+engine, the table-driven DFA engine, the bounded-subset lazy-DFA hybrid,
+and the multi-stream lock-step batch kernel that serving and the
+segment-parallel model use — implement the same homogeneous-NFA semantics
+through completely different datapaths.  These property tests pin them to
+each other on random networks (cyclic, eod reporters, multiple automata)
+and random inputs, including both internal dispatch paths of the
+multi-stream kernel and the hybrid under adversarially tiny LRU caps
+(capacity 1 and 2, where every transition evicts and the fallback path
+carries the run); the ``dfa`` arm additionally sweeps every DFA-safe
+registry application at the standard bench scale.  Degenerate inputs — empty and single-symbol — get explicit
 parity arms across every registered engine (reports *and* witness masks).
 """
 
 import random
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
 from repro import bitops
@@ -30,14 +29,12 @@ from repro.sim import (
     dfa_feasible,
     dfa_run,
     lazydfa_run,
-    matrix_compile,
-    matrix_run,
     reference_run,
     reports_equal,
     run,
-    run_multi,
 )
 from repro.sim import multistream as ms
+from repro.sim.multistream import run_multi
 
 from helpers import input_lengths, random_input, random_network, seeds
 
@@ -75,7 +72,6 @@ class TestFourEngineEquivalence:
 
         expected = reference_run(network, data).reports
         assert reports_equal(run(compiled, data).reports, expected)
-        assert reports_equal(matrix_run(matrix_compile(network), data).reports, expected)
         (multi,) = run_multi(compiled, [data])
         assert reports_equal(multi.reports, expected)
         if dfa_feasible(network):  # the dfa arm covers every safe network
@@ -101,8 +97,6 @@ class TestFourEngineEquivalence:
         scalar = run(compiled, data, track_enabled=True)
         (multi,) = run_multi(compiled, [data], track_enabled=True)
         assert (scalar.ever_enabled == multi.ever_enabled).all()
-        matrix = matrix_run(matrix_compile(network), data)
-        assert (scalar.ever_enabled == matrix.ever_enabled).all()
         if dfa_feasible(network):
             dfa = dfa_run(compile_dfa(network), data, track_enabled=True)
             assert (scalar.ever_enabled == dfa.ever_enabled).all()

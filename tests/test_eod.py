@@ -19,13 +19,14 @@ from repro.nfa.mnrl import network_from_mnrl, network_to_mnrl
 from repro.nfa.regex import RegexError, compile_regex
 from repro.sim import (
     compile_dfa,
+    compile_lazydfa,
     compile_network,
     dfa_run,
+    lazydfa_run,
     reference_run,
     run,
     run_events,
 )
-from repro.sim.matrix import matrix_compile, matrix_run
 from repro.sim.result import reports_equal
 
 from determinize_oracle import determinize
@@ -59,11 +60,11 @@ class TestEngineSemantics:
             data = random_input(rng, rng.randint(1, 20), b"abx")
             fast = run(compile_network(network), data)
             ref = reference_run(network, data)
-            matrix = matrix_run(matrix_compile(network), data)
+            lazy = lazydfa_run(compile_lazydfa(network), data)
             dfa = determinize(network)
             table = dfa_run(compile_dfa(network), data)
             assert reports_equal(fast.reports, ref.reports)
-            assert reports_equal(fast.reports, matrix.reports)
+            assert reports_equal(fast.reports, lazy.reports)
             assert reports_equal(fast.reports, dfa.run(data))
             assert reports_equal(fast.reports, table.reports)
 

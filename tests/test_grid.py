@@ -160,9 +160,9 @@ class TestNetworkStore:
     def test_fresh_process_reports_are_bit_identical(self, store, tmp_path):
         """The satellite guarantee: a store loaded in a *fresh interpreter*
         reproduces the in-process pipeline's reports bit-for-bit on every
-        engine whose artifact it carries — all five engines across the two
-        apps (reference/bitpacked/multistream everywhere, dfa on Bro217,
-        lazydfa on LV)."""
+        engine whose artifact it carries — all four engines across the two
+        apps (reference/bitpacked everywhere, dfa on Bro217, lazydfa on
+        LV)."""
         store_path = str(tmp_path / "store.bin")
         store.save(store_path)
         data = bytes((7 * i + 3) % 256 for i in range(SMALL.input_len))
@@ -176,7 +176,7 @@ class TestNetworkStore:
                 import json, sys
                 from repro.experiments.config import ExperimentConfig
                 from repro.grid.store import load_store
-                from repro.sim import dfa_run, lazydfa_run, reference_run, run, run_multi
+                from repro.sim import dfa_run, lazydfa_run, reference_run, run
 
                 store_path, data_path, out_path, scale, input_len = sys.argv[1:6]
                 config = ExperimentConfig(scale=int(scale), input_len=int(input_len))
@@ -184,11 +184,9 @@ class TestNetworkStore:
                 data = open(data_path, "rb").read()
                 out = {}
                 for name, app in store.apps.items():
-                    (multi,) = run_multi(app.compiled, [data])
                     engines = {
                         "reference": reference_run(app.network, data),
                         "bitpacked": run(app.compiled, data),
-                        "multistream": multi,
                     }
                     if app.dfa is not None:
                         engines["dfa"] = dfa_run(app.dfa, data)
@@ -209,7 +207,7 @@ class TestNetworkStore:
         with open(out_path) as fh:
             fresh = json.load(fh)
 
-        expected_engines = {"Bro217": 4, "LV": 4}  # 3 common + 1 table engine
+        expected_engines = {"Bro217": 3, "LV": 3}  # 2 common + 1 table engine
         seen = set()
         for app in STORE_APPS:
             pipeline = get_run(app, SMALL)
@@ -217,8 +215,6 @@ class TestNetworkStore:
                 "reference": ENGINES["reference"].run_network(
                     pipeline.network, data),
                 "bitpacked": run(pipeline.compiled, data),
-                "multistream": ENGINES["multistream"].run(
-                    pipeline.compiled, data),
             }
             if store.apps[app].dfa is not None:
                 in_process["dfa"] = ENGINES["dfa"].run(
@@ -233,8 +229,7 @@ class TestNetworkStore:
                 got = [tuple(r) for r in fresh[app][engine]]
                 want = [tuple(r) for r in result.reports.tolist()]
                 assert got == want, f"{app}/{engine} diverged in fresh process"
-        assert seen == {"reference", "bitpacked", "multistream",
-                        "dfa", "lazydfa"}
+        assert seen == {"reference", "bitpacked", "dfa", "lazydfa"}
 
 
 def _policy_router(spill_threshold: int = 2) -> GridRouter:

@@ -1,12 +1,13 @@
-"""Unit tests for the multi-stream lock-step engine (repro.sim.multistream)."""
+"""Unit tests for the multi-stream lock-step batch kernel (repro.sim.multistream)."""
 
 import numpy as np
 import pytest
 
 from repro.nfa.automaton import Automaton, Network, StartKind
 from repro.nfa.symbolset import SymbolSet
-from repro.sim import compile_network, reports_equal, run, run_multi
+from repro.sim import compile_network, reports_equal, run
 from repro.sim import multistream as ms
+from repro.sim.multistream import run_multi
 
 
 def _chain_network(word: bytes = b"ab", eod: bool = False) -> Network:

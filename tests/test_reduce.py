@@ -40,6 +40,7 @@ from repro.reduce import (
 )
 from repro.sim import ENGINES, reference_run, reports_equal
 from repro.sim.hybrid import hybrid_run
+from repro.sim.multistream import run_multi
 from repro.workloads.registry import app_names
 
 from helpers import input_lengths, random_input, random_network, seeds
@@ -76,19 +77,25 @@ class TestSoundnessGate:
 
 class TestCrossEngineLifted:
     """Reports and witness masks must lift bit-identically from every
-    backend run on the reduced network — the --reduce execution path."""
+    backend run on the reduced network — the --reduce execution path —
+    and from the lock-step batch kernel ``serve --reduce --backend
+    multistream`` runs."""
 
     @pytest.mark.parametrize("abbr", ["HM", "LV"])  # both reduce at scale 64
-    @pytest.mark.parametrize("engine_name", sorted(ENGINES))
+    @pytest.mark.parametrize("engine_name", sorted([*ENGINES, "multistream"]))
     def test_lifted_results_match_truth(self, abbr, engine_name):
         run = get_run(abbr, _CONFIG)
         reduction = run.reduced
         assert reduction.saved_states > 0  # the arm must actually exercise a lift
-        engine = ENGINES[engine_name]
-        if not engine.feasible(reduction.network):
-            pytest.skip(f"{engine_name} infeasible for reduced {abbr}")
-        prepared = run.reduced_prepared_for(engine_name)
-        result = engine.run(prepared, run.test_input, track_enabled=True)
+        if engine_name == "multistream":
+            (result,) = run_multi(run.reduced_prepared_for("bitpacked"),
+                                  [run.test_input], track_enabled=True)
+        else:
+            engine = ENGINES[engine_name]
+            if not engine.feasible(reduction.network):
+                pytest.skip(f"{engine_name} infeasible for reduced {abbr}")
+            prepared = run.reduced_prepared_for(engine_name)
+            result = engine.run(prepared, run.test_input, track_enabled=True)
         lifted = reduction.lift_result(result)
         assert reports_equal(lifted.reports, run.truth.reports)
         assert reduction.witness_exact
@@ -414,6 +421,6 @@ class TestReduceCli:
 
     def test_run_app_reduce_flag(self, capsys, monkeypatch):
         self._env(monkeypatch)
-        assert cli_main(["run-app", "HM", "--reduce", "--backend", "multistream"]) == 0
+        assert cli_main(["run-app", "HM", "--reduce", "--backend", "bitpacked"]) == 0
         out = capsys.readouterr().out
         assert "reduce" in out and "backend" in out

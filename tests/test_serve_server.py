@@ -12,6 +12,8 @@ import struct
 
 import pytest
 
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.pipeline import get_run
 from repro.nfa.automaton import Automaton, Network, StartKind
 from repro.nfa.symbolset import SymbolSet
 from repro.serve import protocol
@@ -30,7 +32,7 @@ from repro.serve.loadgen import (
 from repro.serve.protocol import ErrorCode, ProtocolError
 from repro.serve.server import MatchServer, ServerOptions
 from repro.serve.state import ServeState
-from repro.sim import run
+from repro.sim import FALLBACK_BACKEND, reports_equal, run
 from repro.stats import validate_serve_stats
 
 
@@ -90,6 +92,32 @@ class TestMatchCorrectness:
                 assert outcome.reports == [tuple(r) for r in scalar.reports.tolist()]
                 assert not outcome.reports_truncated
                 assert outcome.batch_size == 1  # eager when idle: no window paid
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("backend, engine", [
+        ("multistream", "multistream"), ("dfa", "dfa"),
+        ("lazydfa", "lazydfa"), ("auto", "dfa"),
+    ])
+    def test_coalesced_replies_match_scalar_run_on_every_backend(
+            self, tmp_path, backend, engine):
+        # A wide window folds the concurrent requests into shared batches,
+        # so the multistream arm exercises K > 1 lock-step passes.
+        payloads = [b"xxabyababz" * n + b"ab" for n in range(1, 9)]
+
+        async def scenario():
+            async with _server(tmp_path, backend=backend,
+                               window_ms=50.0) as (server, sock):
+                async with await AsyncServeClient.open(unix_path=sock) as client:
+                    outcomes = await asyncio.gather(
+                        *[client.match("toy", data) for data in payloads]
+                    )
+                entry = server.state.get_blocking("toy")
+                assert entry.backend == engine
+                assert max(o.batch_size for o in outcomes) >= 2
+                for data, outcome in zip(payloads, outcomes):
+                    scalar = run(entry.compiled, data)
+                    assert outcome.reports == [tuple(r) for r in scalar.reports.tolist()]
 
         asyncio.run(scenario())
 
@@ -489,12 +517,10 @@ class TestStatsAndLifecycle:
         expected = scalar_run(compile_network(network), data)
         assert (got.reports == expected.reports).all()
 
-    def test_auto_backend_lands_dfa_unsafe_network_on_lazydfa(self):
-        from repro.sim.compiled import compile_network
-
+    @staticmethod
+    def _blowup_network() -> Network:
         # ``a`` then 13 wildcards: 2**13 reachable subsets, past the DFA
-        # budget, so the one compile_dfa attempt fails and auto falls
-        # through to the hybrid.
+        # budget, so the one compile_dfa attempt fails.
         automaton = Automaton("blowup")
         automaton.add_state(SymbolSet.from_symbols(b"a"), start=StartKind.ALL_INPUT)
         for index in range(13):
@@ -503,7 +529,12 @@ class TestStatsAndLifecycle:
             automaton.add_edge(index, index + 1)
         unsafe = Network("blowup-net")
         unsafe.add(automaton)
+        return unsafe
 
+    def test_auto_backend_lands_dfa_unsafe_network_on_lazydfa(self):
+        from repro.sim.compiled import compile_network
+
+        unsafe = self._blowup_network()
         state = ServeState(backend="auto")
         assert state.add_network("safe", _chain_network(b"ab")).backend == "dfa"
         entry = state.add_network("unsafe", unsafe)
@@ -515,6 +546,32 @@ class TestStatsAndLifecycle:
         (got,) = entry.execute_batch([data])
         expected = run(compile_network(unsafe), data)
         assert (got.reports == expected.reports).all()
+
+    def test_forced_dfa_lands_dfa_unsafe_network_on_lazydfa(self):
+        # Serving is availability-first: a forced engine that cannot run
+        # falls back to the same engine the registry path falls back to.
+        state = ServeState(backend="dfa")
+        entry = state.add_network("unsafe", self._blowup_network())
+        assert entry.backend == FALLBACK_BACKEND == "lazydfa"
+        assert entry.dfa is None and entry.lazydfa is not None
+
+    @pytest.mark.parametrize("backend", ["multistream", "auto"])
+    def test_reduced_registry_app_replies_lift_to_truth(self, backend):
+        # HM reduces at scale 64, so every reply goes through the lift.
+        config = ExperimentConfig(scale=64, input_len=512)
+        state = ServeState(config, backend=backend, reduce=True)
+        entry = state.get_blocking("HM")
+        truth_run = get_run("HM", config)
+        assert entry.reduction is not None
+        assert entry.compiled.n_states < truth_run.compiled.n_states
+        if backend == "multistream":
+            assert entry.backend == "multistream"
+        data = truth_run.test_input
+        streams = [data, data[: len(data) // 2], b""]
+        for stream, got in zip(streams, entry.execute_batch(streams)):
+            expected = run(truth_run.compiled, stream)
+            assert reports_equal(got.reports, expected.reports)
+        assert len(entry.execute_batch([data])[0].reports) == len(truth_run.truth.reports)
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="serve backend"):

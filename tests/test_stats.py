@@ -155,50 +155,18 @@ class TestSchema:
         with pytest.raises(SchemaError, match="cost"):
             validate_stats(document)
 
-    def test_v4_document_validates_under_v4(self, bro_stats):
-        """Archived pre-reduce exports keep validating under their own
-        version."""
+    @pytest.mark.parametrize("version", [2, 3, 4])
+    def test_retired_versions_are_rejected(self, bro_stats, version):
+        """Nothing writes a pre-v5 document any more, so the validator
+        accepts only the current version: an older one is a typed error
+        naming the supported set, whatever its fields."""
         document = bro_stats.to_json()
-        del document["reduce"]
-        document["schema_version"] = 4
-        validate_stats(document)
-
-    def test_v4_document_with_reduce_rejected(self, bro_stats):
-        document = bro_stats.to_json()
-        document["schema_version"] = 4
-        with pytest.raises(SchemaError, match="reduce"):
+        document["schema_version"] = version
+        with pytest.raises(SchemaError) as excinfo:
             validate_stats(document)
-
-    def test_v3_document_validates_under_v3(self, bro_stats):
-        """Archived pre-backend-record exports keep validating under their
-        own version."""
-        document = bro_stats.to_json()
-        del document["cost"]["requested_backend"]
-        del document["cost"]["selected_backend"]
-        del document["reduce"]
-        document["schema_version"] = 3
-        validate_stats(document)
-
-    def test_v3_document_with_backend_record_rejected(self, bro_stats):
-        document = bro_stats.to_json()
-        document["schema_version"] = 3
-        with pytest.raises(SchemaError, match="backend"):
-            validate_stats(document)
-
-    def test_v2_document_validates_under_v2(self, bro_stats):
-        """Archived pre-cost exports must keep validating under their own
-        version — the schema dispatch, not a compatibility shim."""
-        document = bro_stats.to_json()
-        del document["cost"]
-        del document["reduce"]
-        document["schema_version"] = 2
-        validate_stats(document)
-
-    def test_v2_document_with_cost_rejected(self, bro_stats):
-        document = bro_stats.to_json()
-        document["schema_version"] = 2
-        with pytest.raises(SchemaError, match="cost"):
-            validate_stats(document)
+        message = str(excinfo.value)
+        assert f"unsupported stats schema_version {version}" in message
+        assert "(supported: 5)" in message
 
     def test_array_export(self, bro_stats):
         document = bro_stats.to_json()
@@ -219,12 +187,12 @@ class TestSchema:
             validate_stats(document)
         message = str(excinfo.value)
         assert "unsupported stats schema_version" in message
-        assert "5, 4, 3, 2" in message
+        assert "(supported: 5)" in message
 
     def test_missing_version_is_a_typed_error(self, bro_stats):
         document = bro_stats.to_json()
         del document["schema_version"]
-        with pytest.raises(SchemaError, match="5, 4, 3, 2"):
+        with pytest.raises(SchemaError, match=r"\(supported: 5\)"):
             validate_stats(document)
 
 
@@ -301,7 +269,7 @@ class TestSweepStats:
     def test_rows_carry_cost_columns(self, small_config):
         (row,) = run_sweep(["Bro217"], small_config, jobs=1)
         assert row.n_classes >= 1
-        assert row.backend in ("reference", "bitpacked", "multistream", "dfa")
+        assert row.backend in ("reference", "bitpacked", "dfa", "lazydfa")
         assert isinstance(row.dfa_safe, bool)
 
     def test_summary_cost_aggregates(self, small_config):
@@ -343,11 +311,11 @@ class TestSweepStats:
 
     def test_reduced_backend_execution_matches_unreduced(self, small_config):
         plain = run_sweep(["LV"], small_config, jobs=1,
-                          backend="multistream")[0]
+                          backend="bitpacked")[0]
         reduced = run_sweep(["LV"], small_config, jobs=1,
-                            backend="multistream", reduce=True)[0]
+                            backend="bitpacked", reduce=True)[0]
         assert reduced.reduced is True and plain.reduced is False
-        assert reduced.backend == plain.backend == "multistream"
+        assert reduced.backend == plain.backend == "bitpacked"
         assert reduced.backend_mb_s > 0
         table = render_sweep([reduced])
         assert "%+" in table  # the '+' marker for reduced execution

@@ -46,9 +46,7 @@ class TestRunSweep:
 
     def test_backend_execution_populates_row(self, small_config):
         (row,) = run_sweep(["Bro217"], small_config, jobs=1, backend="auto")
-        assert row.backend in (
-            "reference", "bitpacked", "multistream", "dfa", "lazydfa"
-        )
+        assert row.backend in ("reference", "bitpacked", "dfa", "lazydfa")
         assert row.backend_mb_s > 0.0
         (forced,) = run_sweep(
             ["Bro217"], small_config, jobs=1, backend="bitpacked"
@@ -65,7 +63,7 @@ class TestRunSweep:
         (row,) = run_sweep(
             ["LV"], small_config, jobs=1, backend="dfa", backend_fallback=True
         )
-        assert row.backend == "multistream"
+        assert row.backend == "lazydfa"
         assert row.backend_mb_s > 0.0
 
     def test_unknown_app_rejected(self, small_config):
