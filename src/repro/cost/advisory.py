@@ -147,8 +147,12 @@ def advise_network(
     model: CostModel = DEFAULT_COST_MODEL,
 ) -> BackendAdvisory:
     """Fuse the three static analyses into one advisory for ``network``."""
-    class_analysis = analyze_symbol_classes(network)
     exploration = explore_subset_construction(network, budget=budget)
+    # The explorer's tables are the ones the class count is read from:
+    # one compile per partition, not two.
+    class_analysis = analyze_symbol_classes(
+        network, n_classes=exploration.n_classes
+    )
     hot_fraction = _static_hot_fraction(network, horizon)
     features = CostFeatures(
         n_states=network.n_states,

@@ -20,7 +20,7 @@ layout, before any dynamic effect is considered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from .. import bitops
 from ..nfa.automaton import Network
@@ -60,11 +60,19 @@ class ClassAnalysis:
         }
 
 
-def analyze_symbol_classes(network: Network) -> ClassAnalysis:
-    """Compute the effective alphabet-class count and table sizes."""
+def analyze_symbol_classes(
+    network: Network, *, n_classes: Optional[int] = None
+) -> ClassAnalysis:
+    """Compute the effective alphabet-class count and table sizes.
+
+    A caller that already derived the network's subset tables (the
+    explorer reports their class count) passes ``n_classes`` and saves a
+    second compile of the same network.
+    """
     n = network.n_states
     n_words = bitops.num_words(max(n, 1))
-    n_classes = subset_tables(compile_network(network)).n_classes
+    if n_classes is None:
+        n_classes = subset_tables(compile_network(network)).n_classes
     distinct = {state.symbol_set for _g, _a, state in network.global_states()}
     return ClassAnalysis(
         n_states=n,

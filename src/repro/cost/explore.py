@@ -18,6 +18,12 @@ materializes:
 * ``dfa_safe=False`` reports the growth frontier instead: how many subsets
   had been discovered when the budget burst, at which BFS depth, and the
   largest subset seen (the blowup witness).
+
+A burst walk is the explorer's cost: ``budget`` subsets times the class
+count in cells.  The core memoizes each cell's target by activated set
+(at most ``budget`` entries, freed when the walk returns), so only the
+first cell per distinct activated set pays the successor OR (DESIGN.md
+§12 has the measured before/after).
 """
 
 from __future__ import annotations

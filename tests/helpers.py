@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
 from hypothesis import strategies as st
 
@@ -81,6 +81,29 @@ def random_network(
         network.add(
             random_automaton(rng, cyclic=cyclic, name=f"nfa{index}", start=start)
         )
+    return network
+
+
+def blowup_network(tail: int = 13) -> Network:
+    """``a`` followed by ``tail`` wildcards: 2**tail reachable subsets.
+
+    The classic counting pattern whose subset construction bursts any
+    reasonable budget (here 8192 > DEFAULT_DFA_BUDGET = 4096), used to
+    exercise the infeasible paths without waiting on a real blowup.
+    """
+    automaton = Automaton("blowup")
+    automaton.add_state(
+        SymbolSet.from_symbols(b"a"), start=StartKind.ALL_INPUT
+    )
+    for index in range(tail):
+        automaton.add_state(
+            SymbolSet.universal(),
+            reporting=index == tail - 1,
+            report_code="blow" if index == tail - 1 else None,
+        )
+        automaton.add_edge(index, index + 1)
+    network = Network("blowup-net")
+    network.add(automaton)
     return network
 
 

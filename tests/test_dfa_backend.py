@@ -33,8 +33,7 @@ from repro.cost.model import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.pipeline import get_run
-from repro.nfa.automaton import Automaton, Network, StartKind
-from repro.nfa.symbolset import ALPHABET_SIZE, SymbolSet
+from repro.nfa.symbolset import ALPHABET_SIZE
 from repro.sim import (
     ENGINES,
     FALLBACK_BACKEND,
@@ -57,32 +56,9 @@ from determinize_oracle import (
     determinize,
     flatten_network,
 )
-from helpers import input_lengths, random_input, random_network, seeds
+from helpers import blowup_network, input_lengths, random_input, random_network, seeds
 
 _CONFIG = ExperimentConfig(scale=64, input_len=512)
-
-
-def _blowup_network(tail: int = 13) -> Network:
-    """``a`` followed by ``tail`` wildcards: 2**tail reachable subsets.
-
-    The classic counting pattern whose subset construction bursts any
-    reasonable budget (here 8192 > DEFAULT_DFA_BUDGET = 4096), used to
-    exercise the infeasible paths without waiting on a real blowup.
-    """
-    automaton = Automaton("blowup")
-    automaton.add_state(
-        SymbolSet.from_symbols(b"a"), start=StartKind.ALL_INPUT
-    )
-    for index in range(tail):
-        automaton.add_state(
-            SymbolSet.universal(),
-            reporting=index == tail - 1,
-            report_code="blow" if index == tail - 1 else None,
-        )
-        automaton.add_edge(index, index + 1)
-    network = Network("blowup-net")
-    network.add(automaton)
-    return network
 
 
 #: The oracle's default state cap; random test networks stay far below it.
@@ -225,7 +201,7 @@ class TestBudgetBoundary:
                 compile_dfa(network, budget=exact - 1)
 
     def test_explorer_and_determinize_agree_on_blowup(self):
-        network = _blowup_network()
+        network = blowup_network()
         assert not explore_subset_construction(network, budget=4096).dfa_safe
         with pytest.raises(DeterminizeError):
             determinize(network, max_states=4096)
@@ -238,7 +214,7 @@ class TestFeasibilityGates:
     table pricing matches the cost model byte-for-byte."""
 
     def test_state_budget_gate(self):
-        network = _blowup_network()
+        network = blowup_network()
         assert not dfa_feasible(network)
         with pytest.raises(DfaInfeasibleError):
             compile_dfa(network)
@@ -286,7 +262,7 @@ class TestEngineRegistry:
         # Infeasible selections land on the one streaming engine that is
         # feasible for every network, so the fallback itself never fails.
         assert FALLBACK_BACKEND == "lazydfa"
-        assert ENGINES[FALLBACK_BACKEND].feasible(_blowup_network())
+        assert ENGINES[FALLBACK_BACKEND].feasible(blowup_network())
 
     def test_streaming_flags_match_cost_model(self):
         for name, engine in ENGINES.items():
@@ -312,20 +288,20 @@ class TestEngineRegistry:
         # The silent-substitution regression: an explicitly requested
         # engine that cannot run must fail loudly, never quietly hand the
         # operator a different backend's numbers.
-        network = _blowup_network()
+        network = blowup_network()
         with pytest.raises(BackendInfeasibleError, match="explicitly requested"):
             resolve_backend("dfa", network)
         with pytest.raises(BackendInfeasibleError):
             resolve_backend("dfa", network, allow_fallback=False)
 
     def test_infeasible_explicit_request_with_fallback_substitutes(self):
-        network = _blowup_network()
+        network = blowup_network()
         name, engine = resolve_backend("dfa", network, allow_fallback=True)
         assert name == FALLBACK_BACKEND
         assert engine is ENGINES[FALLBACK_BACKEND]
 
     def test_infeasible_advice_still_falls_back_silently(self):
-        network = _blowup_network()
+        network = blowup_network()
         for requested in (None, "auto"):
             name, engine = resolve_backend(requested, network, advised="dfa")
             assert name == FALLBACK_BACKEND
